@@ -4,7 +4,8 @@
 // asynchronous schedule — with a bitwise arrival comparison between the
 // two on every run. Reports wall clock per schedule plus the scheduler
 // work counters (barrier syncs, tasks enqueued, ready-queue high-water
-// mark, memo-twin chain edges), which are machine-deterministic and
+// mark, memo-twin chain edges) and the region solver's work (Newton
+// iterations, device evaluations), which are machine-deterministic and
 // budget-pinned for the CI perf smoke.
 //
 //   bench_scale_sta [--threads N | --threads N1,N2,...] [--smoke]
@@ -19,8 +20,8 @@
 //   --smoke          run the 10^4-stage design only (CI-sized)
 //   --counters-only  skip the timed medians; counters and the bitwise
 //                    equivalence check still run
-//   --budget FILE    compare the 10^4-stage scheduler counters against
-//                    tools/perf_budget.json; exit 1 on excess
+//   --budget FILE    compare the 10^4-stage scheduler and solver counters
+//                    against tools/perf_budget.json; exit 1 on excess
 //
 // Exit status is non-zero if any design's arrivals differ between the
 // schedulers — the harness doubles as an end-to-end equivalence check.
@@ -113,6 +114,7 @@ struct ScaleResult {
   bool identical = false;
   sta::ScheduleStats levels_stats;
   sta::ScheduleStats deps_stats;
+  core::QwmStats levels_qwm;
 };
 
 ScaleResult run_size(std::size_t stages, const ScaleFlags& f) {
@@ -149,6 +151,7 @@ ScaleResult run_size(std::size_t stages, const ScaleFlags& f) {
   }
   r.evals = levels.cache_stats().hits + levels.cache_stats().misses;
   r.levels_stats = levels.schedule_stats();
+  r.levels_qwm = levels.qwm_stats();
 
   opt.schedule = sta::Schedule::deps;
   sta::StaEngine deps(elab.design, ms, opt);
@@ -279,6 +282,10 @@ int main(int argc, char** argv) {
         {"scale10k_deps_barrier_syncs", ten_k.deps_stats.barrier_syncs},
         {"scale10k_tasks_enqueued", ten_k.deps_stats.tasks_enqueued},
         {"scale10k_chain_edges", ten_k.deps_stats.chain_edges},
+        // Solver work, fallback ladder included: deterministic, so extra
+        // line-search work fails here even when wall time hides it.
+        {"scale10k_newton_iters", ten_k.levels_qwm.newton_iterations},
+        {"scale10k_device_evals", ten_k.levels_qwm.device_evals},
         // Scheduling-dependent (zero on single-lane hosts): budgeted as
         // generous upper bounds, not exact pins — an excess means the
         // sharded queues or the claim table degenerated to a serial lock.

@@ -121,6 +121,9 @@ enum FallbackRung : int {
 
 struct QwmStats {
   std::size_t regions = 0;
+  /// newton_iterations, linear_solves and device_evals also count the
+  /// SPICE rung's per-time-step Newton work (spice_fallback.cpp), not only
+  /// the region solves.
   std::size_t newton_iterations = 0;
   std::size_t linear_solves = 0;
   std::size_t device_evals = 0;

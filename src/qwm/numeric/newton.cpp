@@ -9,6 +9,18 @@
 
 namespace qwm::numeric {
 
+namespace {
+
+// Smallest fraction of the Newton step a stalled backtracking sweep (no
+// trial lowered ||F||) may still take. A sweep of up to 10 halvings ends
+// at 2^-10 and keeps stepping: QWM region solves do recover from there,
+// and stopping them changes which regions escalate. A sweep of 30 ends at
+// 2^-30, a step that only leads to the same search again, so the solve
+// stops at the pre-step point.
+constexpr double kMinStalledStep = 0x1p-20;
+
+}  // namespace
+
 NewtonResult newton_solve(const ResidualFn& residual, const LinearStepFn& step,
                           Vector& x, const NewtonOptions& options) {
   NewtonScratch scratch;
@@ -29,6 +41,9 @@ NewtonResult newton_solve(const ResidualFn& residual, const LinearStepFn& step,
   Vector& x_trial = scratch.x_trial;
   Vector& f_trial = scratch.f_trial;
 
+  // A failed first evaluation is a hard failure, like kNewtonStall below:
+  // the infinite norm keeps small-residual acceptance from taking the seed.
+  result.residual_norm = std::numeric_limits<double>::infinity();
   if (!residual(x, f)) return result;
   result.residual_norm = inf_norm(f);
 
@@ -61,7 +76,8 @@ NewtonResult newton_solve(const ResidualFn& residual, const LinearStepFn& step,
     }
 
     // Backtracking: accept the first step that reduces ||F||, or the last
-    // halved step if none does (plain Newton would take the full step).
+    // halved step if none does and it is not below kMinStalledStep (plain
+    // Newton would take the full step).
     double lambda = 1.0;
     double trial_norm = 0.0;
     bool accepted = false;
@@ -79,6 +95,8 @@ NewtonResult newton_solve(const ResidualFn& residual, const LinearStepFn& step,
       lambda *= 0.5;
     }
     if (!accepted) return result;
+    if (trial_norm >= result.residual_norm && lambda < kMinStalledStep)
+      return result;
 
     const double dx_norm = lambda * inf_norm(dx);
     x = x_trial;

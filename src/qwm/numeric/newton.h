@@ -25,7 +25,10 @@ struct NewtonOptions {
   /// per iteration in a well-posed system.
   double max_step = 0.0;
   /// Backtracking line search: halve the step up to this many times while
-  /// ||F|| does not decrease. 0 disables damping.
+  /// ||F|| does not decrease. 0 disables damping. If no halving lowers
+  /// ||F||, the last one is still taken when it is at least 2^-20 of the
+  /// step (at most 20 backtracks); otherwise the solve ends unconverged at
+  /// the pre-step point.
   int max_backtracks = 8;
 };
 

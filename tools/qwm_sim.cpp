@@ -134,6 +134,14 @@ void run_sta(qwm::circuit::PartitionedDesign design,
               schedule == sta::Schedule::deps ? "deps" : "levels", ss.levels,
               ss.barrier_syncs, ss.tasks_enqueued, ss.ready_hwm,
               ss.chain_edges, ss.steal_count, ss.classify_lock_waits);
+  const core::QwmStats& qs = sta.qwm_stats();
+  std::printf("regions=%zu newton_iterations=%zu linear_solves=%zu "
+              "device_evals=%zu fallback_counts=%zu/%zu/%zu/%zu\n",
+              qs.regions, qs.newton_iterations, qs.linear_solves,
+              qs.device_evals, qs.fallback_counts[core::kRungNominal],
+              qs.fallback_counts[core::kRungDamped],
+              qs.fallback_counts[core::kRungBisect],
+              qs.fallback_counts[core::kRungSpice]);
 
   std::printf("\ncritical path:\n");
   for (const auto& step : sta.critical_path())
