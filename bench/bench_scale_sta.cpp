@@ -4,9 +4,10 @@
 // asynchronous schedule — with a bitwise arrival comparison between the
 // two on every run. Reports wall clock per schedule plus the scheduler
 // work counters (barrier syncs, tasks enqueued, ready-queue high-water
-// mark, memo-twin chain edges) and the region solver's work (Newton
-// iterations, device evaluations), which are machine-deterministic and
-// budget-pinned for the CI perf smoke.
+// mark, memo-twin chain edges), the region solver's work (Newton
+// iterations, device evaluations, fallback rungs) and the arcs left
+// without an arrival, which are machine-deterministic and budget-pinned
+// for the CI perf smoke.
 //
 //   bench_scale_sta [--threads N | --threads N1,N2,...] [--smoke]
 //                   [--counters-only] [--json FILE] [--budget FILE]
@@ -20,8 +21,9 @@
 //   --smoke          run the 10^4-stage design only (CI-sized)
 //   --counters-only  skip the timed medians; counters and the bitwise
 //                    equivalence check still run
-//   --budget FILE    compare the 10^4-stage scheduler and solver counters
-//                    against tools/perf_budget.json; exit 1 on excess
+//   --budget FILE    compare the 10^4-stage scheduler, solver and arc
+//                    counters against tools/perf_budget.json; exit 1 on
+//                    excess
 //
 // Exit status is non-zero if any design's arrivals differ between the
 // schedulers — the harness doubles as an end-to-end equivalence check.
@@ -115,6 +117,7 @@ struct ScaleResult {
   sta::ScheduleStats levels_stats;
   sta::ScheduleStats deps_stats;
   core::QwmStats levels_qwm;
+  sta::ArcCounts levels_arcs;
 };
 
 ScaleResult run_size(std::size_t stages, const ScaleFlags& f) {
@@ -152,6 +155,7 @@ ScaleResult run_size(std::size_t stages, const ScaleFlags& f) {
   r.evals = levels.cache_stats().hits + levels.cache_stats().misses;
   r.levels_stats = levels.schedule_stats();
   r.levels_qwm = levels.qwm_stats();
+  r.levels_arcs = levels.arc_counts();
 
   opt.schedule = sta::Schedule::deps;
   sta::StaEngine deps(elab.design, ms, opt);
@@ -286,6 +290,13 @@ int main(int argc, char** argv) {
         // line-search work fails here even when wall time hides it.
         {"scale10k_newton_iters", ten_k.levels_qwm.newton_iterations},
         {"scale10k_device_evals", ten_k.levels_qwm.device_evals},
+        {"scale10k_fallback_total",
+         ten_k.levels_qwm.fallback_counts[core::kRungDamped] +
+             ten_k.levels_qwm.fallback_counts[core::kRungBisect] +
+             ten_k.levels_qwm.fallback_counts[core::kRungSpice]},
+        // Arcs without an arrival: a ceiling, so it pins valid arrivals
+        // from below.
+        {"scale10k_failed_arcs", ten_k.levels_arcs.failed},
         // Scheduling-dependent (zero on single-lane hosts): budgeted as
         // generous upper bounds, not exact pins — an excess means the
         // sharded queues or the claim table degenerated to a serial lock.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <limits>
 #include <set>
 
@@ -184,6 +185,21 @@ std::size_t PathProblem::transistor_count() const {
   for (const auto& e : elements)
     if (e.kind == Element::Kind::transistor) ++k;
   return k;
+}
+
+int switching_element(const PathProblem& problem,
+                      const std::vector<numeric::PwlWaveform>& inputs) {
+  for (std::size_t e = 0; e < problem.elements.size(); ++e) {
+    const PathProblem::Element& el = problem.elements[e];
+    if (el.kind != PathProblem::Element::Kind::transistor || el.input < 0 ||
+        el.input >= static_cast<int>(inputs.size()))
+      continue;
+    const std::vector<double>& v = inputs[el.input].values();
+    if (std::adjacent_find(v.begin(), v.end(), std::not_equal_to<>()) !=
+        v.end())
+      return static_cast<int>(e);
+  }
+  return -1;
 }
 
 PathProblem build_path_problem(const LogicStage& stage,

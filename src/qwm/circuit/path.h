@@ -12,6 +12,7 @@
 
 #include "qwm/circuit/stage.h"
 #include "qwm/device/model_set.h"
+#include "qwm/numeric/pwl.h"
 
 namespace qwm::circuit {
 
@@ -68,6 +69,15 @@ struct PathProblem {
   /// Number of transistor elements (the K of the paper's K-region model).
   std::size_t transistor_count() const;
 };
+
+/// The element whose gate triggers the event: the first transistor from
+/// the rail whose gate waveform is not constant. A gate tied to a static
+/// level, or bound to an input whose waveform takes one value throughout
+/// (the STA's side inputs), is static. Positions 1..switching element sit
+/// at the event rail in the worst-case precharge; both QWM and the SPICE
+/// path circuit start from it. Returns -1 when every gate is static.
+int switching_element(const PathProblem& problem,
+                      const std::vector<numeric::PwlWaveform>& inputs);
 
 /// Lumps the stage onto the extracted path: computes per-node capacitance
 /// (device parasitics of every incident edge, wire caps, external loads)

@@ -1532,17 +1532,9 @@ QwmResult Engine::run() {
   }
 
   // Worst-case precharge: nodes below the switching element sit at the
-  // rail, everything at or above it at the far rail (see DESIGN.md).
-  int e_switch = -1;
-  for (std::size_t e = 0; e < prob_.elements.size(); ++e) {
-    if (prob_.elements[e].kind == Element::Kind::transistor &&
-        prob_.elements[e].input >= 0) {
-      e_switch = static_cast<int>(e);
-      break;
-    }
-  }
-  if (e_switch > 0)
-    for (int k = 1; k <= e_switch; ++k) v_[k] = v_rail_;
+  // rail, everything above it at the far rail (see DESIGN.md).
+  const int e_switch = circuit::switching_element(prob_, inputs_);
+  for (int k = 1; k <= e_switch; ++k) v_[k] = v_rail_;
   if (!opt_.initial_voltages.empty()) {
     if (opt_.initial_voltages.size() != static_cast<std::size_t>(m_)) {
       fail("initial_voltages size mismatch");
@@ -1570,9 +1562,11 @@ QwmResult Engine::run() {
     }
     const int q = first_off_transistor();
     const int active = (q >= 0) ? q : m_;
-    if (q >= 0 && active == 0) {
-      // The off transistor sits at the rail: no dynamics until its gate
-      // waveform turns it on.
+    if (q >= 0 && std::all_of(v_.begin() + 1, v_.begin() + 1 + active,
+                              [&](double v) { return v == v_rail_; })) {
+      // Everything below the off transistor sits at the rail (nothing, or
+      // the precharged segment under the switching element): no dynamics
+      // until its gate waveform turns it on.
       if (!advance_to_first_turn_on(q)) break;
       refresh_on_flags(1e-9);
       continue;

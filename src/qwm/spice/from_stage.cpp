@@ -123,19 +123,12 @@ PathSim circuit_from_path(const circuit::PathProblem& problem,
   }
 
   // Initial conditions: QWM's worst-case precharge — every node at the
-  // far rail except the positions below the switching element, which sit
-  // at the event rail (see Engine::run) — or the explicit override.
-  int e_switch = -1;
-  for (std::size_t e = 0; e < problem.elements.size(); ++e) {
-    if (problem.elements[e].kind == Element::Kind::transistor &&
-        problem.elements[e].input >= 0) {
-      e_switch = static_cast<int>(e);
-      break;
-    }
-  }
+  // far rail except positions 1..switching element, which sit at the
+  // event rail (see Engine::run) — or the explicit override.
+  const int e_switch = circuit::switching_element(problem, inputs);
   for (std::size_t k = 1; k <= m; ++k) {
     double v0 = v_far;
-    if (e_switch > 0 && static_cast<int>(k) <= e_switch) v0 = v_rail;
+    if (static_cast<int>(k) <= e_switch) v0 = v_rail;
     if (initial_voltages.size() == m) v0 = initial_voltages[k - 1];
     c.set_ic(sim.nodes[k], v0);
   }

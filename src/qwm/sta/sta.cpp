@@ -696,6 +696,23 @@ double StaEngine::worst_arrival() const {
   return worst;
 }
 
+ArcCounts StaEngine::arc_counts() const {
+  ArcCounts c;
+  for (const auto& info : design_.stages)
+    for (netlist::NetId n : info.output_nets) {
+      const NetTiming& t = timing(n);
+      for (const Arrival* a : {&t.rise, &t.fall}) {
+        if (!a->valid()) {
+          ++c.failed;
+          continue;
+        }
+        ++c.valid;
+        if (a->degraded) ++c.degraded;
+      }
+    }
+  return c;
+}
+
 std::vector<CriticalPathStep> StaEngine::critical_path() const {
   // Find the worst endpoint.
   netlist::NetId net = -1;

@@ -121,6 +121,13 @@ struct ScheduleStats {
   std::size_t classify_lock_waits = 0;
 };
 
+/// Outcome of every stage-output arc (output net x rise/fall edge).
+struct ArcCounts {
+  std::size_t valid = 0;     ///< the edge has an arrival
+  std::size_t degraded = 0;  ///< valid, but built on fallback-ladder data
+  std::size_t failed = 0;    ///< no arrival: unmeasurable or skipped
+};
+
 struct CriticalPathStep {
   netlist::NetId net = -1;
   bool rising = false;
@@ -200,6 +207,8 @@ class StaEngine {
   bool multi_corner() const { return models_.multi(); }
   /// The design's worst arrival (over all stage output nets, both edges).
   double worst_arrival() const;
+  /// Arc outcomes of the primary lane.
+  ArcCounts arc_counts() const;
   /// Critical path from the worst endpoint back to a primary input.
   std::vector<CriticalPathStep> critical_path() const;
   /// Backtrace from a specific endpoint arrival instead of the global

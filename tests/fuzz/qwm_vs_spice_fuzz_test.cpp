@@ -3,7 +3,8 @@
 // by QWM — with the full fallback ladder available — must land within
 // tolerance of the in-repo SPICE baseline on every sample. Each sample
 // draws one of the three characterized corners, so the fast/slow model
-// grids see the same coverage as typical.
+// grids see the same coverage as typical. NAND/NOR samples also draw the
+// switching pin (any stack position) and the trigger ramp's start time.
 //
 //   QWM_FUZZ_SAMPLES   sample count (default 40 in tier-1; CI runs 2000)
 //   QWM_FUZZ_SEED      generator seed (default 20260806, pinned in CI)
@@ -25,6 +26,7 @@
 
 #include "../common/test_models.h"
 #include "qwm/circuit/builders.h"
+#include "qwm/circuit/path.h"
 #include "qwm/core/stage_eval.h"
 #include "qwm/spice/from_stage.h"
 #include "qwm/spice/transient.h"
@@ -64,6 +66,8 @@ struct Sample {
   double slew = 0.0;              ///< input ramp duration [s]
   double wire_l = 0.0;            ///< nand_pass only: wire length [m]
   device::Corner corner = device::Corner::typical;  ///< model grids used
+  int pin = 0;                    ///< nand/nor only: switching pin
+  double t_start = 5e-12;         ///< input ramp start [s]
 };
 
 BuiltStage build(const Sample& s) {
@@ -72,10 +76,13 @@ BuiltStage build(const Sample& s) {
     return circuit::make_nmos_stack(proc, s.widths, s.load);
   if (s.topology == "pmos_stack")
     return circuit::make_pmos_stack(proc, s.widths, s.load);
-  if (s.topology == "nand")
-    return circuit::make_nand(proc, s.k, s.load, s.widths[0]);
-  if (s.topology == "nor")
-    return circuit::make_nor(proc, s.k, s.load, s.widths[0]);
+  if (s.topology == "nand" || s.topology == "nor") {
+    BuiltStage b = s.topology == "nand"
+                       ? circuit::make_nand(proc, s.k, s.load, s.widths[0])
+                       : circuit::make_nor(proc, s.k, s.load, s.widths[0]);
+    b.switching_input = s.pin;  // input i gates stack position i
+    return b;
+  }
   if (s.topology == "nand_pass")
     return circuit::make_nand_pass_stage(proc, s.load, s.wire_l);
   return circuit::make_inverter(proc, s.load, s.widths[0]);
@@ -95,25 +102,24 @@ Sample draw(std::uint64_t* rng) {
   s.load = uniform(rng, 5e-15, 80e-15);
   s.slew = uniform(rng, 5e-12, 150e-12);
   s.wire_l = uniform(rng, 20e-6, 300e-6);
-  // Model envelope: the pass-gate stage's region ladder assumes the
-  // driving NAND switches well within the wire relaxation time. Ramps
-  // past ~120 ps violate that and diverge from SPICE regardless of wire
-  // length, so the fuzz domain is clamped to the supported envelope
-  // (DESIGN.md section 10).
-  if (s.topology == "nand_pass") s.slew = std::min(s.slew, 100e-12);
   s.corner = device::kAllCorners[next_rand(rng) % device::kCornerCount];
+  if (s.topology == "nand" || s.topology == "nor") {
+    s.pin = static_cast<int>(next_rand(rng) % static_cast<std::uint64_t>(s.k));
+    s.t_start = uniform(rng, 5e-12, 2e-9);
+  }
   return s;
 }
 
 std::vector<numeric::PwlWaveform> ramp_inputs(const BuiltStage& b,
-                                              double slew) {
+                                              const Sample& s) {
   const double vdd = test::models().proc.vdd;
   std::vector<numeric::PwlWaveform> in;
   for (std::size_t i = 0; i < b.stage.input_count(); ++i) {
     if (static_cast<int>(i) == b.switching_input)
-      in.push_back(b.output_falls
-                       ? numeric::PwlWaveform::ramp(5e-12, slew, 0.0, vdd)
-                       : numeric::PwlWaveform::ramp(5e-12, slew, vdd, 0.0));
+      in.push_back(
+          b.output_falls
+              ? numeric::PwlWaveform::ramp(s.t_start, s.slew, 0.0, vdd)
+              : numeric::PwlWaveform::ramp(s.t_start, s.slew, vdd, 0.0));
     else
       in.push_back(numeric::PwlWaveform::constant(b.output_falls ? vdd : 0.0));
   }
@@ -122,7 +128,8 @@ std::vector<numeric::PwlWaveform> ramp_inputs(const BuiltStage& b,
 
 double spice_delay(const BuiltStage& b,
                    const std::vector<numeric::PwlWaveform>& inputs,
-                   double t_stop, const device::ModelSet& ms) {
+                   double t_stop, const device::ModelSet& ms,
+                   const circuit::PathProblem& problem) {
   spice::StageSim sim = spice::circuit_from_stage(b.stage, ms, inputs);
   const double vdd = test::models().proc.vdd;
   const double pre = b.output_falls ? vdd : 0.0;
@@ -130,6 +137,12 @@ double spice_delay(const BuiltStage& b,
     const auto id = static_cast<circuit::NodeId>(n);
     if (!b.stage.is_rail(id)) sim.circuit.set_ic(sim.node_of[n], pre);
   }
+  // QWM's precharge: the static-on transistors between the rail and the
+  // switching transistor hold the nodes they connect at the event rail.
+  const double rail = b.output_falls ? 0.0 : vdd;
+  const int e_switch = circuit::switching_element(problem, inputs);
+  for (int k = 1; k <= e_switch; ++k)
+    sim.circuit.set_ic(sim.node_of[problem.nodes[k - 1]], rail);
   spice::TransientOptions opt;
   opt.t_stop = t_stop;
   opt.dt = 1e-12;
@@ -158,10 +171,11 @@ void dump_repro(std::uint64_t seed, std::uint64_t sample_index,
   f << "* qwm_vs_spice differential fuzz reproducer\n"
     << "* " << why << "\n"
     << "* topology=" << s.topology << " k=" << s.k
-    << " corner=" << device::corner_name(s.corner) << "\n* widths_m=";
+    << " corner=" << device::corner_name(s.corner) << " pin=" << s.pin
+    << "\n* widths_m=";
   for (double w : s.widths) f << " " << w;
   f << "\n* load_f=" << s.load << " slew_s=" << s.slew
-    << " wire_l_m=" << s.wire_l << "\n"
+    << " t_start_s=" << s.t_start << " wire_l_m=" << s.wire_l << "\n"
     << "* qwm_delay_s=" << qwm << " spice_delay_s=" << ref << "\n"
     << "* rerun: QWM_FUZZ_SEED=" << seed
     << " QWM_FUZZ_SAMPLES=" << (sample_index + 1)
@@ -177,8 +191,8 @@ TEST(DifferentialFuzz, QwmTracksSpiceOnRandomStages) {
   for (std::uint64_t i = 0; i < samples; ++i) {
     const Sample s = draw(&rng);
     const BuiltStage b = build(s);
-    const auto inputs = ramp_inputs(b, s.slew);
-    const double t_stop = 2e-9 + 4.0 * s.slew;
+    const auto inputs = ramp_inputs(b, s);
+    const double t_stop = s.t_start + 2e-9 + 4.0 * s.slew;
     // Both engines run on the sampled corner's characterized grids.
     const device::ModelSet& ms = test::corner_models().set(s.corner);
 
@@ -192,7 +206,7 @@ TEST(DifferentialFuzz, QwmTracksSpiceOnRandomStages) {
                     << "): QWM failed: " << st.error;
       continue;
     }
-    const double ref = spice_delay(b, inputs, t_stop, ms);
+    const double ref = spice_delay(b, inputs, t_stop, ms, st.problem);
     if (ref <= 0.0) {
       ++failures;
       dump_repro(seed, i, s, *st.delay, ref, "SPICE baseline unmeasurable");
@@ -209,9 +223,9 @@ TEST(DifferentialFuzz, QwmTracksSpiceOnRandomStages) {
       ++failures;
       dump_repro(seed, i, s, *st.delay, ref, "delay divergence past 15%/5ps");
       ADD_FAILURE() << "sample " << i << " (" << s.topology << " k=" << s.k
-                    << " @" << device::corner_name(s.corner)
-                    << "): qwm=" << *st.delay << " spice=" << ref
-                    << " tol=" << tol;
+                    << " pin=" << s.pin << " @"
+                    << device::corner_name(s.corner) << "): qwm=" << *st.delay
+                    << " spice=" << ref << " tol=" << tol;
     }
   }
   EXPECT_EQ(failures, 0u) << "reproducers under tests/data/repro/";

@@ -192,8 +192,8 @@ echo "perf smoke passed"
 
 echo "== scale smoke (10^5-stage generated design, deps schedule) =="
 # Full STA over a 10^5-stage grid through the gate-level frontend: must
-# finish inside the wall-clock cap (~7 s on an idle 8-core host) and
-# inside a 512 MB peak-RSS ceiling (~190 MB measured) — the guard against
+# finish inside the wall-clock cap (~2 s on an idle 4-vCPU host) and
+# inside a 512 MB peak-RSS ceiling (~180 MB measured) — the guard against
 # accidental per-stage memory or quadratic scheduling regressions.
 scale_rss_kb=$(python3 - <<'EOF'
 import resource, subprocess, sys

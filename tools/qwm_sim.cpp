@@ -142,6 +142,9 @@ void run_sta(qwm::circuit::PartitionedDesign design,
               qs.fallback_counts[core::kRungDamped],
               qs.fallback_counts[core::kRungBisect],
               qs.fallback_counts[core::kRungSpice]);
+  const sta::ArcCounts arcs = sta.arc_counts();
+  std::printf("valid_arcs=%zu degraded_arcs=%zu failed_arcs=%zu\n",
+              arcs.valid, arcs.degraded, arcs.failed);
 
   std::printf("\ncritical path:\n");
   for (const auto& step : sta.critical_path())
