@@ -5,15 +5,16 @@
 // SLACK, 10% CRITPATH, 5% STATS) through Server::handle_line while one
 // writer thread runs RESIZE+UPDATE what-if transactions; the harness
 // reports sustained QPS and per-verb p50/p99 latency.
-// A second, sharded section runs the same read workload through an
-// in-process Fleet (CallbackEndpoint shards, no sockets) at shard
-// counts 1/2/4, then a deterministic failover drill at the largest
-// count: kill one shard, measure the degraded-answer rate while it is
-// down, time the supervised restart + re-warm, and check the fleet
-// reconverges bit-identically at the same epoch.
+// A second, replicated section runs the same read workload through an
+// in-process Fleet (CallbackEndpoint replicas, no sockets) at 2, 3 and 5
+// replicas, each followed by a deterministic failover drill: kill the
+// last replica with restarts refused, check every answer during the
+// outage against its pre-kill value (and for OK DEGRADED tags), time the
+// supervised restart + re-warm, and check the fleet reconverges
+// bit-identically at the same epoch.
 // Flags: --clients N (default 8), --requests M per client (default 400),
 //        --rows N (workload size, default 32), --threads N (engine
-//        lanes, default 4), --no-cache, --no-sharded, --json FILE.
+//        lanes, default 4), --no-cache, --no-fleet, --json FILE.
 #include <unistd.h>
 
 #include <algorithm>
@@ -43,7 +44,7 @@ struct Flags {
   int rows = 32;
   int threads = 4;
   bool cache = true;
-  bool sharded = true;
+  bool fleet = true;
   std::string json_path;
 
   static Flags parse(int argc, char** argv) {
@@ -59,15 +60,15 @@ struct Flags {
         f.threads = std::atoi(argv[++i]);
       else if (std::strcmp(argv[i], "--no-cache") == 0)
         f.cache = false;
-      else if (std::strcmp(argv[i], "--no-sharded") == 0)
-        f.sharded = false;
+      else if (std::strcmp(argv[i], "--no-fleet") == 0)
+        f.fleet = false;
       else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
         f.json_path = argv[++i];
       else {
         std::fprintf(stderr,
                      "unknown flag: %s\nusage: %s [--clients N] "
                      "[--requests M] [--rows N] [--threads N] [--no-cache] "
-                     "[--no-sharded] [--json FILE]\n",
+                     "[--no-fleet] [--json FILE]\n",
                      argv[i], argv[0]);
         std::exit(2);
       }
@@ -247,59 +248,40 @@ void run_workload(const char* name, const std::string& deck, int rows,
   }
 }
 
-/// One in-process sharded fleet: `n` CallbackEndpoint shards (each a
-/// Server in --shard k/n mode) plus one full-design replica. Kill
-/// switches let the failover drill drop a shard deterministically.
+/// One in-process replicated fleet: `r` CallbackEndpoint replicas, each
+/// a full-design Server. Kill switches let the failover drill drop a
+/// replica deterministically.
 struct BenchFleet {
   std::vector<std::unique_ptr<qwm::service::Server>> servers;
   std::vector<std::shared_ptr<std::atomic<bool>>> dead;
   /// Gate for the restart hook: while false the hook refuses, which
-  /// holds the fleet in its degraded window for measurement.
+  /// holds the fleet in its outage window for measurement.
   std::atomic<bool> allow_restart{false};
-  std::unique_ptr<qwm::service::Server> replica;
   std::unique_ptr<qwm::service::Fleet> fleet;
 
-  explicit BenchFleet(int n, const Flags& flags) {
+  BenchFleet(int r, const Flags& flags) {
     using namespace qwm::service;
-    std::vector<std::unique_ptr<ShardEndpoint>> shard_eps, replica_eps;
-    for (int k = 0; k < n; ++k) {
-      ServerOptions opt;
-      opt.db.sta.threads = 1;
-      opt.db.sta.use_cache = flags.cache;
-      opt.db.shard_index = k;
-      opt.db.shard_count = n;
+    ServerOptions opt;
+    opt.db.sta.threads = 1;
+    opt.db.sta.use_cache = flags.cache;
+    std::vector<std::unique_ptr<ShardEndpoint>> eps;
+    for (int k = 0; k < r; ++k) {
       servers.push_back(std::make_unique<Server>(opt));
       dead.push_back(std::make_shared<std::atomic<bool>>(false));
-      shard_eps.push_back(std::make_unique<CallbackEndpoint>(endpoint_fn(k)));
+      eps.push_back(std::make_unique<CallbackEndpoint>(endpoint_fn(k)));
     }
-    ServerOptions ropt;
-    ropt.db.sta.threads = 1;
-    ropt.db.sta.use_cache = flags.cache;
-    replica = std::make_unique<Server>(ropt);
-    replica_eps.push_back(std::make_unique<CallbackEndpoint>(
-        [this](const std::string& line) { return replica->handle_line(line); }));
-
     FleetOptions fopt;
-    // One probe failure marks a shard down: the in-process endpoints
+    // One probe failure marks a replica down: the in-process endpoints
     // never blip, so the drill is deterministic with the tight ladder.
     fopt.health.suspect_after = 1;
     fopt.health.down_after = 1;
-    fleet = std::make_unique<Fleet>(fopt, std::move(shard_eps),
-                                    std::move(replica_eps));
-    const bool cache = flags.cache;
-    fleet->set_restart_fn(
-        [this, n, cache](int k) -> std::unique_ptr<ShardEndpoint> {
-          using namespace qwm::service;
-          if (!allow_restart.load(std::memory_order_acquire)) return nullptr;
-          ServerOptions opt;
-          opt.db.sta.threads = 1;
-          opt.db.sta.use_cache = cache;
-          opt.db.shard_index = k;
-          opt.db.shard_count = n;
-          servers[static_cast<std::size_t>(k)] = std::make_unique<Server>(opt);
-          dead[static_cast<std::size_t>(k)]->store(false);
-          return std::make_unique<CallbackEndpoint>(endpoint_fn(k));
-        });
+    fleet = std::make_unique<Fleet>(fopt, std::move(eps));
+    fleet->set_restart_fn([this, opt](int k) -> std::unique_ptr<ShardEndpoint> {
+      if (!allow_restart.load(std::memory_order_acquire)) return nullptr;
+      servers[static_cast<std::size_t>(k)] = std::make_unique<Server>(opt);
+      dead[static_cast<std::size_t>(k)]->store(false);
+      return std::make_unique<CallbackEndpoint>(endpoint_fn(k));
+    });
   }
 
   qwm::service::CallbackEndpoint::Handler endpoint_fn(int k) {
@@ -311,8 +293,8 @@ struct BenchFleet {
   }
 };
 
-void run_sharded(const std::string& deck_path, int rows, const Flags& flags,
-                 std::vector<std::string>* json_out) {
+void run_replicated(const std::string& deck_path, int rows, const Flags& flags,
+                    std::vector<std::string>* json_out) {
   using namespace qwm;
   std::vector<std::string> nets;
   for (int r = 0; r < rows; ++r) {
@@ -320,9 +302,9 @@ void run_sharded(const std::string& deck_path, int rows, const Flags& flags,
     nets.push_back("d" + std::to_string(r));
   }
 
-  std::printf("sharded fleet (in-process endpoints, 1 replica): decoder "
-              "rows=%d\n", rows);
-  for (const int n : {1, 2, 4}) {
+  std::printf("replicated fleet (in-process endpoints): decoder rows=%d\n",
+              rows);
+  for (const int n : {2, 3, 5}) {
     BenchFleet bf(n, flags);
     service::Fleet& fleet = *bf.fleet;
     const auto l0 = Clock::now();
@@ -330,7 +312,7 @@ void run_sharded(const std::string& deck_path, int rows, const Flags& flags,
     const double load_ms =
         std::chrono::duration<double, std::milli>(Clock::now() - l0).count();
     if (!service::is_ok(load)) {
-      std::printf("  shards=%d: LOAD failed: %s\n", n, load.c_str());
+      std::printf("  replicas=%d: LOAD failed: %s\n", n, load.c_str());
       continue;
     }
 
@@ -367,66 +349,72 @@ void run_sharded(const std::string& deck_path, int rows, const Flags& flags,
     for (auto& v : lat) merged.insert(merged.end(), v.begin(), v.end());
     const double qps = static_cast<double>(merged.size()) / wall_s;
     const double p50 = pct(&merged, 0.50), p99 = pct(&merged, 0.99);
-    std::printf("  shards=%d: load %.0f ms, %.0f QPS, p50 %.1f us, "
+    std::printf("  replicas=%d: load %.0f ms, %.0f QPS, p50 %.1f us, "
                 "p99 %.1f us, errors=%llu\n",
                 n, load_ms, qps, p50, p99,
                 (unsigned long long)errors.load());
 
-    // Failover drill (multi-shard fleets only — with one shard there is
-    // nothing to serve around). Detect + degrade with restarts refused,
-    // measure the degraded-answer rate across the whole net universe,
-    // then open the restart gate and time the supervised recovery.
-    std::string failover_json;
-    if (n > 1) {
-      const int victim = n - 1;
-      std::map<std::string, std::string> before;
-      for (const auto& net : nets)
-        before[net] = fleet.handle_line("ARRIVAL " + net);
-
-      bf.dead[static_cast<std::size_t>(victim)]->store(true);
-      fleet.supervise();  // detect -> degrade; restart refused by the gate
-      std::uint64_t degraded = 0, outage_errors = 0;
-      for (const auto& net : nets) {
-        const std::string resp = fleet.handle_line("ARRIVAL " + net);
-        if (!service::is_ok(resp)) ++outage_errors;
-        else if (service::is_degraded(resp)) ++degraded;
-      }
-
-      bf.allow_restart.store(true, std::memory_order_release);
-      const auto r0 = Clock::now();
-      fleet.supervise();  // restart + re-warm + reconverge
-      const double recovery_ms =
-          std::chrono::duration<double, std::milli>(Clock::now() - r0).count();
-
+    // Failover drill: kill the last replica with restarts refused, then
+    // ask every net once per replica (so round-robin reaches every
+    // survivor) and compare with the pre-kill answers; then open the
+    // restart gate and time the supervised recovery.
+    const int victim = n - 1;
+    std::map<std::string, std::string> before;
+    for (const auto& net : nets)
+      before[net] = fleet.handle_line("ARRIVAL " + net);
+    const auto ask_all = [&](std::uint64_t* errs, std::uint64_t* degraded) {
       std::uint64_t mismatches = 0;
-      for (const auto& net : nets)
-        if (fleet.handle_line("ARRIVAL " + net) != before[net]) ++mismatches;
-      const double degraded_rate =
-          static_cast<double>(degraded) / static_cast<double>(nets.size());
-      std::printf("    failover: killed shard %d; degraded-answer rate "
-                  "%.2f (errors=%llu), recovery %.0f ms, post-recovery "
-                  "mismatches=%llu\n",
-                  victim, degraded_rate, (unsigned long long)outage_errors,
-                  recovery_ms, (unsigned long long)mismatches);
-      failover_json = qwm::bench::JsonObject()
-                          .integer("killed_shard", static_cast<std::uint64_t>(
-                                                       victim))
-                          .num("degraded_rate", degraded_rate)
-                          .integer("outage_errors", outage_errors)
-                          .num("recovery_ms", recovery_ms)
-                          .integer("post_recovery_mismatches", mismatches)
-                          .str();
-    }
+      for (int k = 0; k < n; ++k)
+        for (const auto& net : nets) {
+          const std::string resp = fleet.handle_line("ARRIVAL " + net);
+          if (!service::is_ok(resp)) ++*errs;
+          if (service::is_degraded(resp)) ++*degraded;
+          if (resp != before[net]) ++mismatches;
+        }
+      return mismatches;
+    };
+
+    bf.dead[static_cast<std::size_t>(victim)]->store(true);
+    fleet.supervise();  // detect; restart refused by the gate
+    std::uint64_t outage_errors = 0, degraded = 0;
+    const std::uint64_t outage_mismatches = ask_all(&outage_errors, &degraded);
+
+    bf.allow_restart.store(true, std::memory_order_release);
+    const auto r0 = Clock::now();
+    fleet.supervise();  // restart + re-warm
+    const double recovery_ms =
+        std::chrono::duration<double, std::milli>(Clock::now() - r0).count();
+
+    std::uint64_t post_errors = 0, post_degraded = 0;
+    const std::uint64_t mismatches = ask_all(&post_errors, &post_degraded);
+    const double degraded_rate =
+        static_cast<double>(degraded) /
+        static_cast<double>(nets.size() * static_cast<std::size_t>(n));
+    std::printf("    failover: killed replica %d; degraded-answer rate "
+                "%.2f, outage errors=%llu, outage mismatches=%llu, "
+                "recovery %.1f ms, post-recovery mismatches=%llu\n",
+                victim, degraded_rate, (unsigned long long)outage_errors,
+                (unsigned long long)outage_mismatches, recovery_ms,
+                (unsigned long long)mismatches);
 
     if (json_out != nullptr) {
+      const std::string failover_json =
+          qwm::bench::JsonObject()
+              .integer("killed_replica", static_cast<std::uint64_t>(victim))
+              .num("degraded_rate", degraded_rate)
+              .integer("outage_errors", outage_errors)
+              .integer("outage_mismatches", outage_mismatches)
+              .num("recovery_ms", recovery_ms)
+              .integer("post_recovery_mismatches", mismatches)
+              .str();
       qwm::bench::JsonObject o;
-      o.integer("shards", static_cast<std::uint64_t>(n))
+      o.integer("replicas", static_cast<std::uint64_t>(n))
           .num("load_ms", load_ms)
           .num("qps", qps)
           .num("p50_us", p50)
           .num("p99_us", p99)
-          .integer("errors", errors.load());
-      if (!failover_json.empty()) o.raw("failover", failover_json);
+          .integer("errors", errors.load())
+          .raw("failover", failover_json);
       json_out->push_back(o.str());
     }
   }
@@ -447,16 +435,15 @@ int main(int argc, char** argv) {
   run_workload("gatefarm", qwm::bench::make_gate_farm_deck(farm_rows),
                farm_rows, flags, want_json ? &farm_json : nullptr);
 
-  std::vector<std::string> sharded_json;
-  if (flags.sharded) {
-    // The fleet LOAD verb takes a deck path (it reads the file both for
-    // routing tables and to fan out to the shards), so stage the
-    // generated deck on disk.
+  std::vector<std::string> fleet_json;
+  if (flags.fleet) {
+    // The fleet LOAD verb takes a deck path (the replicas read it, and
+    // re-warm reads it again), so stage the generated deck on disk.
     const std::string deck_path =
         "/tmp/qwm_bench_service_qps_" + std::to_string(::getpid()) + ".sp";
     if (!qwm::bench::write_text_file(deck_path, decoder_deck)) return 1;
-    run_sharded(deck_path, flags.rows, flags,
-                want_json ? &sharded_json : nullptr);
+    run_replicated(deck_path, flags.rows, flags,
+                   want_json ? &fleet_json : nullptr);
     ::unlink(deck_path.c_str());
   }
 
@@ -464,7 +451,7 @@ int main(int argc, char** argv) {
     const std::string doc =
         "{\n  \"bench\": \"service_qps\",\n  \"workloads\": " +
         qwm::bench::json_array({decoder_json, farm_json}, "    ") +
-        ",\n  \"sharded\": " + qwm::bench::json_array(sharded_json, "    ") +
+        ",\n  \"replicated\": " + qwm::bench::json_array(fleet_json, "    ") +
         "\n}\n";
     if (!qwm::bench::write_text_file(flags.json_path, doc)) return 1;
     std::printf("wrote %s\n", flags.json_path.c_str());

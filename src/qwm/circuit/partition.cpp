@@ -238,35 +238,4 @@ PartitionedDesign partition_netlist(const netlist::FlatNetlist& nl,
   return out;
 }
 
-PartitionedDesign extract_stages(const PartitionedDesign& full,
-                                 const std::vector<int>& keep) {
-  PartitionedDesign out;
-  out.vdd_net = full.vdd_net;
-  out.vdd = full.vdd;
-  out.stages.reserve(keep.size());
-  for (const int si : keep) {
-    const StageInfo& info = full.stages[static_cast<std::size_t>(si)];
-    const int local = static_cast<int>(out.stages.size());
-    out.stages.push_back(info);
-    for (std::size_t oi = 0; oi < info.output_nets.size(); ++oi)
-      out.driver_of[info.output_nets[oi]] = {local, static_cast<int>(oi)};
-  }
-  // This slice's primary inputs: the full design's primary inputs that
-  // feed a kept stage, plus boundary nets (inputs whose driving stage
-  // stayed behind). Nets the full design treats as neither (rails,
-  // stimulus sources) keep that treatment here, so a slice never invents
-  // a triggering arrival the full analysis would not have.
-  const std::set<netlist::NetId> full_pi(full.primary_inputs.begin(),
-                                         full.primary_inputs.end());
-  std::set<netlist::NetId> pi_set;
-  for (const StageInfo& info : out.stages) {
-    for (const netlist::NetId n : info.input_nets) {
-      if (out.driver_of.count(n)) continue;
-      if (full_pi.count(n) || full.driver_of.count(n)) pi_set.insert(n);
-    }
-  }
-  out.primary_inputs.assign(pi_set.begin(), pi_set.end());
-  return out;
-}
-
 }  // namespace qwm::circuit

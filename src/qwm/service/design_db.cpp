@@ -1,14 +1,11 @@
 #include "qwm/service/design_db.h"
 
-#include <algorithm>
-
 #include "qwm/circuit/partition.h"
 #include "qwm/device/tabular_model.h"
 #include "qwm/frontend/elaborate.h"
 #include "qwm/frontend/frontend.h"
 #include "qwm/netlist/apply_models.h"
 #include "qwm/netlist/parser.h"
-#include "qwm/service/shard_map.h"
 
 namespace qwm::service {
 
@@ -39,22 +36,6 @@ struct DesignDb::Session {
   /// nmos/pmos (declared before the engine for destruction order).
   std::unique_ptr<device::CornerLibrary> corners;
   std::unique_ptr<sta::StaEngine> engine;
-
-  // Shard-mode bookkeeping (empty in single-shard sessions). Wire stage
-  // indices are always *global* (the full-design partition's); the
-  // engine's are local to the slice.
-  std::vector<int> local_to_global;
-  std::unordered_map<int, int> global_to_local;
-  /// Nets this shard exports (sorted by NetId).
-  std::vector<netlist::NetId> boundary_out;
-  /// Slice primary inputs driven elsewhere — awaiting set_arrival.
-  std::vector<netlist::NetId> boundary_in;
-
-  int to_global(int local) const {
-    return local_to_global.empty() ? local
-                                   : local_to_global[static_cast<std::size_t>(
-                                         local)];
-  }
 };
 
 DesignDb::DesignDb(DesignDbOptions opt) : opt_(opt) {}
@@ -165,38 +146,6 @@ LoadReply DesignDb::finish_load(std::unique_ptr<Session> session,
     reply.status = fail("LOAD", name + ": deck contains no logic stages");
     return reply;
   }
-  reply.total_stages = design.stages.size();
-  if (opt_.shard_count > 1) {
-    // Slice the full partition down to this shard's stages. The map is a
-    // pure function of (design, shard_count), so every process of the
-    // fleet computes the same ownership without exchanging metadata.
-    const ShardMap map = build_shard_map(design, opt_.shard_count);
-    if (!map.acyclic) {
-      reply.status = fail(
-          "LOAD", name + ": cyclic stage graph cannot be sharded (levels "
-                         "undefined); serve it single-shard");
-      return reply;
-    }
-    if (opt_.shard_index < 0 || opt_.shard_index >= map.shard_count) {
-      reply.status = fail(
-          "LOAD", name + ": shard " + std::to_string(opt_.shard_index) +
-                      " of " + std::to_string(opt_.shard_count) +
-                      " has no stages (design too small for the fleet)");
-      return reply;
-    }
-    session->local_to_global =
-        map.stages_of[static_cast<std::size_t>(opt_.shard_index)];
-    session->boundary_out =
-        map.boundary_of[static_cast<std::size_t>(opt_.shard_index)];
-    for (std::size_t li = 0; li < session->local_to_global.size(); ++li)
-      session->global_to_local[session->local_to_global[li]] =
-          static_cast<int>(li);
-    circuit::PartitionedDesign slice =
-        circuit::extract_stages(design, session->local_to_global);
-    for (const netlist::NetId n : slice.primary_inputs)
-      if (design.driver_of.count(n)) session->boundary_in.push_back(n);
-    design = std::move(slice);
-  }
   session->engine =
       opt_.corners
           ? std::make_unique<sta::StaEngine>(std::move(design),
@@ -204,10 +153,6 @@ LoadReply DesignDb::finish_load(std::unique_ptr<Session> session,
                                              opt_.sta)
           : std::make_unique<sta::StaEngine>(std::move(design), models,
                                              opt_.sta);
-  // Boundary inputs start invalid — "no answer yet", never a wrong one —
-  // until the fleet injects the upstream shard's arrivals.
-  for (const netlist::NetId n : session->boundary_in)
-    session->engine->set_input_timing(n, sta::NetTiming{});
   reply.evals = session->engine->run();
   for (const auto& w : session->engine->warnings())
     reply.warnings.push_back(w);
@@ -219,10 +164,6 @@ LoadReply DesignDb::finish_load(std::unique_ptr<Session> session,
   reply.stages = session_->engine->design().stages.size();
   reply.nets = session_->nl.net_count();
   reply.worst = session_->engine->worst_arrival();
-  reply.shard = opt_.shard_index;
-  reply.shards = opt_.shard_count;
-  reply.boundary_in = session_->boundary_in.size();
-  reply.boundary_out = session_->boundary_out.size();
   return reply;
 }
 
@@ -253,11 +194,6 @@ CornersReply DesignDb::corners(const std::string& net, double period) const {
     return reply;
   }
   reply.epoch = epoch_;
-  if (opt_.shard_count > 1) {
-    reply.status = fail("UNSUPPORTED",
-                        "CORNERS needs the full design; ask a replica");
-    return reply;
-  }
   if (!session_->engine->multi_corner()) {
     reply.status =
         fail("UNSUPPORTED", "corner analysis disabled; start with --corners");
@@ -289,14 +225,6 @@ SlackReply DesignDb::slack(const std::string& net, double period) const {
     return reply;
   }
   reply.epoch = epoch_;
-  if (opt_.shard_count > 1) {
-    // Required times propagate *backward* from every endpoint; a slice
-    // cannot know the full-graph required time at its cut, so a sharded
-    // slack would be silently wrong — refuse instead.
-    reply.status =
-        fail("UNSUPPORTED", "SLACK needs the full design; ask a replica");
-    return reply;
-  }
   if (period <= 0.0) {
     reply.status = fail("ARG", "period must be positive");
     return reply;
@@ -340,99 +268,9 @@ CritPathReply DesignDb::critical_path() const {
     s.net = session_->nl.net_name(step.net);
     s.rising = step.rising;
     s.arrival = step.arrival;
-    s.stage = step.stage < 0 ? step.stage : session_->to_global(step.stage);
+    s.stage = step.stage;
     reply.steps.push_back(std::move(s));
   }
-  return reply;
-}
-
-CritPathReply DesignDb::critical_path(const std::string& net,
-                                      char edge) const {
-  CritPathReply reply;
-  const auto lock = reader_lock();
-  if (!session_) {
-    reply.status = kNoDesign;
-    return reply;
-  }
-  reply.epoch = epoch_;
-  const auto id = session_->nl.find_net(net);
-  if (!id) {
-    reply.status = fail("NOTFOUND", "unknown net: " + net);
-    return reply;
-  }
-  const sta::NetTiming& t = session_->engine->timing(*id);
-  bool rising;
-  if (edge == 'R') {
-    rising = true;
-  } else if (edge == 'F') {
-    rising = false;
-  } else {
-    // Unspecified: the worse valid edge, matching the global worst-path
-    // selection rule.
-    if (!t.rise.valid() && !t.fall.valid()) {
-      reply.status = fail("NOTFOUND", "net has no computed arrival: " + net);
-      return reply;
-    }
-    rising = t.rise.valid() && (!t.fall.valid() || t.rise.time >= t.fall.time);
-  }
-  const sta::Arrival& a = rising ? t.rise : t.fall;
-  if (!a.valid()) {
-    reply.status = fail("NOTFOUND", "net has no computed arrival: " + net +
-                                        (rising ? " R" : " F"));
-    return reply;
-  }
-  reply.worst = a.time;
-  for (const auto& step : session_->engine->critical_path(*id, rising)) {
-    CritPathStepReply s;
-    s.net = session_->nl.net_name(step.net);
-    s.rising = step.rising;
-    s.arrival = step.arrival;
-    s.stage = step.stage < 0 ? step.stage : session_->to_global(step.stage);
-    reply.steps.push_back(std::move(s));
-  }
-  return reply;
-}
-
-BoundaryReply DesignDb::boundary() const {
-  BoundaryReply reply;
-  const auto lock = reader_lock();
-  if (!session_) {
-    reply.status = kNoDesign;
-    return reply;
-  }
-  reply.epoch = epoch_;
-  for (const netlist::NetId n : session_->boundary_out) {
-    BoundaryEntry e;
-    e.net = session_->nl.net_name(n);
-    e.timing = session_->engine->timing(n);
-    reply.entries.push_back(std::move(e));
-  }
-  return reply;
-}
-
-MutateReply DesignDb::set_arrival(const std::string& net,
-                                  const sta::NetTiming& t) {
-  MutateReply reply;
-  const auto lock = writer_lock();
-  if (!session_) {
-    reply.status = kNoDesign;
-    return reply;
-  }
-  reply.epoch = epoch_;
-  const auto id = session_->nl.find_net(net);
-  if (!id) {
-    reply.status = fail("NOTFOUND", "unknown net: " + net);
-    return reply;
-  }
-  const auto& pis = session_->engine->design().primary_inputs;
-  if (std::find(pis.begin(), pis.end(), *id) == pis.end()) {
-    reply.status = fail(
-        "ARG", "net is not a primary input of this slice: " + net);
-    return reply;
-  }
-  session_->engine->set_input_timing(*id, t);
-  reply.epoch = ++epoch_;
-  reply.worst = session_->engine->worst_arrival();
   return reply;
 }
 
@@ -444,25 +282,13 @@ MutateReply DesignDb::resize(int stage, int edge, double width) {
     return reply;
   }
   reply.epoch = epoch_;
-  // Wire indices are global; shard mode owns only a slice of them.
-  int local = stage;
-  if (!session_->local_to_global.empty()) {
-    const auto it = session_->global_to_local.find(stage);
-    if (it == session_->global_to_local.end()) {
-      reply.status = fail("NOTOWNED", "stage " + std::to_string(stage) +
-                                          " is not owned by shard " +
-                                          std::to_string(opt_.shard_index));
-      return reply;
-    }
-    local = it->second;
-  }
   const auto& stages = session_->engine->design().stages;
-  if (local < 0 || static_cast<std::size_t>(local) >= stages.size()) {
+  if (stage < 0 || static_cast<std::size_t>(stage) >= stages.size()) {
     reply.status = fail("ARG", "stage index out of range: " +
                                    std::to_string(stage));
     return reply;
   }
-  const circuit::LogicStage& ls = stages[local].stage;
+  const circuit::LogicStage& ls = stages[stage].stage;
   if (edge < 0 || static_cast<std::size_t>(edge) >= ls.edge_count()) {
     reply.status =
         fail("ARG", "edge index out of range: " + std::to_string(edge));
@@ -478,7 +304,7 @@ MutateReply DesignDb::resize(int stage, int edge, double width) {
     reply.status = fail("ARG", "width must be positive");
     return reply;
   }
-  session_->engine->resize_transistor(local,
+  session_->engine->resize_transistor(stage,
                                       static_cast<circuit::EdgeId>(edge),
                                       width);
   reply.epoch = ++epoch_;
@@ -506,11 +332,8 @@ DbStats DesignDb::stats() const {
   s.session = session_id_;
   s.loaded = session_ != nullptr;
   s.schedule = opt_.sta.schedule;
-  s.shard = opt_.shard_index;
-  s.shards = opt_.shard_count;
   if (session_) {
     s.stages = session_->engine->design().stages.size();
-    s.boundary_out = session_->boundary_out.size();
     s.cache = session_->engine->cache_stats();
     s.qwm = session_->engine->qwm_stats();
     s.workspace = session_->engine->workspace_stats();

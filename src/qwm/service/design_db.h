@@ -42,19 +42,6 @@ struct DesignDbOptions {
   /// it triples characterization work at load time, so single-corner
   /// deployments shouldn't pay for it.
   bool corners = false;
-  /// Shard mode (shard_count > 1): LOAD parses and partitions the full
-  /// deck, then keeps only this shard's slice of the deterministic
-  /// level-major ShardMap (see shard_map.h). Boundary inputs — nets
-  /// driven by an earlier shard — start *invalid* (no answer yet, never
-  /// a wrong one) until the fleet injects their arrivals via
-  /// set_arrival + update. Stage indices on the wire (RESIZE, CRITPATH
-  /// steps) stay global; the db translates at the boundary, so a
-  /// sharded fleet's replies are positionally identical to a
-  /// single-process run's. SLACK and CORNERS are refused in shard mode
-  /// (both need whole-graph context; the router serves them from a
-  /// full-design replica).
-  int shard_index = 0;
-  int shard_count = 1;
 };
 
 /// Outcome common to all replies. `code` is the protocol error code
@@ -69,16 +56,10 @@ struct LoadReply {
   Status status;
   std::uint64_t epoch = 0;
   std::uint64_t session = 0;
-  std::size_t stages = 0;  ///< shard mode: stages of *this* slice
+  std::size_t stages = 0;
   std::size_t nets = 0;
   std::size_t evals = 0;
   double worst = 0.0;
-  /// Shard mode bookkeeping (shards == 1 otherwise).
-  int shard = 0;
-  int shards = 1;
-  std::size_t total_stages = 0;    ///< full design, before slicing
-  std::size_t boundary_in = 0;     ///< inputs awaiting fleet injection
-  std::size_t boundary_out = 0;    ///< nets exported via BOUNDARY
   std::vector<std::string> warnings;
 };
 
@@ -131,18 +112,6 @@ struct CritPathReply {
   std::vector<CritPathStepReply> steps;
 };
 
-/// One exported boundary net inside a BOUNDARY reply.
-struct BoundaryEntry {
-  std::string net;
-  sta::NetTiming timing;
-};
-
-struct BoundaryReply {
-  Status status;
-  std::uint64_t epoch = 0;
-  std::vector<BoundaryEntry> entries;  ///< sorted by NetId (deterministic)
-};
-
 /// RESIZE / UPDATE outcome.
 struct MutateReply {
   Status status;
@@ -156,9 +125,6 @@ struct DbStats {
   std::uint64_t session = 0;
   bool loaded = false;
   std::size_t stages = 0;
-  int shard = 0;
-  int shards = 1;
-  std::size_t boundary_out = 0;
   support::CacheStats cache;          ///< engine memo-cache activity
   std::uint64_t slack_cache_hits = 0;
   std::uint64_t slack_cache_misses = 0;
@@ -193,19 +159,6 @@ class DesignDb {
   CornersReply corners(const std::string& net, double period = 0.0) const;
   SlackReply slack(const std::string& net, double period) const;
   CritPathReply critical_path() const;
-  /// Backtrace feeding a specific endpoint arrival; `edge` is 'R', 'F',
-  /// or 0 (the worse valid edge). The router's cross-shard stitching
-  /// query.
-  CritPathReply critical_path(const std::string& net, char edge) const;
-
-  /// Shard mode: arrivals of the nets this shard exports to later
-  /// shards (empty in single-shard mode — nothing to exchange).
-  BoundaryReply boundary() const;
-  /// Injects a boundary-input arrival verbatim (validity, slews,
-  /// degraded flags) and bumps the epoch; the cone re-propagates on the
-  /// next update(). ARG unless `net` is a primary input of the served
-  /// slice — a driven net cannot be shadowed.
-  MutateReply set_arrival(const std::string& net, const sta::NetTiming& t);
 
   /// Stages a transistor resize (validated: stage/edge in range, a real
   /// transistor, positive width). Takes effect on timing at UPDATE.
@@ -216,8 +169,6 @@ class DesignDb {
   DbStats stats() const;
   std::uint64_t epoch() const;
   bool has_design() const;
-  int shard_index() const { return opt_.shard_index; }
-  int shard_count() const { return opt_.shard_count; }
 
  private:
   struct Session;

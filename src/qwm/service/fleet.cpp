@@ -1,231 +1,28 @@
 #include "qwm/service/fleet.h"
 
-#include <cctype>
-#include <cstdlib>
+#include <algorithm>
 #include <thread>
-#include <unordered_map>
-#include <unordered_set>
-
-#include "qwm/circuit/partition.h"
-#include "qwm/device/tabular_model.h"
-#include "qwm/frontend/elaborate.h"
-#include "qwm/frontend/frontend.h"
-#include "qwm/netlist/apply_models.h"
-#include "qwm/netlist/flat.h"
-#include "qwm/netlist/parser.h"
-#include "qwm/service/protocol.h"
-#include "qwm/service/shard_map.h"
 
 namespace qwm::service {
 
 namespace {
 
-/// One parsed CRITPATH step, fields kept as raw text so re-emitting a
-/// stitched path never reprints (and so never perturbs) a double.
-struct PathStep {
-  std::string net;
-  std::string edge;     ///< "R" or "F"
-  std::string arrival;  ///< %.17g text
-  std::string stage;    ///< global stage index, "-1" at a path origin
-};
-
-/// Splits `entry` into `prefix:f1:...:fN` from the right (N = `fields`),
-/// so net names containing ':' would still parse. False when the entry
-/// has too few separators.
-bool rsplit(const std::string& entry, int fields, std::string* prefix,
-            std::vector<std::string>* out) {
-  out->assign(static_cast<std::size_t>(fields), {});
-  std::size_t end = entry.size();
-  for (int i = fields - 1; i >= 0; --i) {
-    const std::size_t colon = entry.rfind(':', end == 0 ? 0 : end - 1);
-    if (colon == std::string::npos || colon >= end) return false;
-    (*out)[static_cast<std::size_t>(i)] =
-        entry.substr(colon + 1, end - colon - 1);
-    end = colon;
-  }
-  *prefix = entry.substr(0, end);
-  return true;
-}
-
-void split_list(const std::string& text, char sep,
-                std::vector<std::string>* out) {
-  out->clear();
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t pos = text.find(sep, start);
-    if (pos == std::string::npos) {
-      if (start < text.size()) out->push_back(text.substr(start));
-      break;
-    }
-    out->push_back(text.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
-bool parse_path_response(const std::string& resp, std::string* worst,
-                         std::vector<PathStep>* steps) {
-  *worst = response_field(resp, "worst");
-  steps->clear();
-  const std::string path = response_field(resp, "path");
-  if (worst->empty() || path.empty()) return false;
-  std::vector<std::string> entries;
-  split_list(path, ';', &entries);
-  std::vector<std::string> f;
-  for (const std::string& e : entries) {
-    PathStep s;
-    if (!rsplit(e, 3, &s.net, &f)) return false;
-    s.edge = f[0];
-    s.arrival = f[1];
-    s.stage = f[2];
-    steps->push_back(std::move(s));
-  }
-  return !steps->empty();
-}
-
-std::string format_path_reply(std::uint64_t epoch, const std::string& worst,
-                              const std::vector<PathStep>& steps) {
-  std::string out = "OK epoch=" + std::to_string(epoch) + " worst=" + worst +
-                    " steps=" + std::to_string(steps.size()) + " path=";
-  for (std::size_t i = 0; i < steps.size(); ++i) {
-    if (i) out += ';';
-    out += steps[i].net;
-    out += ':';
-    out += steps[i].edge;
-    out += ':';
-    out += steps[i].arrival;
-    out += ':';
-    out += steps[i].stage;
-  }
-  return out;
-}
-
 /// A reply that passed the transport but carries control bytes is a torn
 /// frame (the corrupt-reply fault site plants "\x01TORN"); treat it as a
-/// transport failure so the health ladder and retry logic engage.
-bool clean_line(const std::string& resp) {
+/// transport failure so the health ladder and failover engage.
+bool sane_reply(const std::string& resp) {
   for (const char c : resp)
     if (static_cast<unsigned char>(c) < 0x20) return false;
-  return true;
-}
-
-bool sane_reply(const std::string& resp) {
-  return clean_line(resp) && (is_ok(resp) || is_err(resp));
-}
-
-}  // namespace
-
-/// The router's full-design knowledge: who owns which net/stage, which
-/// shards consume each boundary net, and the last-known boundary
-/// arrivals (the failover cache). Built once per LOAD from the same
-/// deterministic parse + partition + shard map every shard computes.
-struct Fleet::Routing {
-  netlist::FlatNetlist nl;
-  ShardMap map;
-  std::size_t total_stages = 0;
-  /// Driven net -> owning shard (absent: primary input or rail).
-  std::unordered_map<netlist::NetId, int> owner_of_net;
-  std::unordered_set<netlist::NetId> primary_inputs;
-  /// Boundary net -> shards whose slices consume it (ascending).
-  std::unordered_map<netlist::NetId, std::vector<int>> consumers_of;
-  /// Boundary net -> its last exported SETARR operands (8 raw fields:
-  /// rv rise rslew rdeg fv fall fslew fdeg). Failover re-injects these
-  /// with the degraded flags forced on.
-  std::unordered_map<netlist::NetId, std::vector<std::string>> boundary_cache;
-};
-
-namespace {
-
-/// Mirrors DesignDb's LOAD pipeline far enough to recover the stage
-/// graph: parse (SPICE or frontend source), characterize models,
-/// partition. The parse and partition are deterministic, so the
-/// resulting ownership tables agree with what every shard computed from
-/// the same deck.
-std::unique_ptr<Fleet::Routing> build_routing(const std::string& path,
-                                              int shard_count,
-                                              std::string* error) {
-  device::Process proc = device::Process::cmosp35();
-  netlist::FlatNetlist nl;
-  circuit::PartitionedDesign design;
-  if (frontend::is_frontend_source(path)) {
-    frontend::BlifResult loaded = frontend::load_gate_netlist(path);
-    if (!loaded.ok()) {
-      *error = loaded.errors.front();
-      return nullptr;
-    }
-    device::TabularDeviceModel nmos(device::MosType::nmos, proc);
-    device::TabularDeviceModel pmos(device::MosType::pmos, proc);
-    const device::ModelSet models{&nmos, &pmos, &proc};
-    frontend::ElaboratedDesign elab = frontend::elaborate(loaded.netlist,
-                                                          models);
-    nl = std::move(elab.nl);
-    design = std::move(elab.design);
-  } else {
-    netlist::ParseResult parsed = netlist::parse_spice_file(path);
-    if (!parsed.ok()) {
-      *error = parsed.errors.front();
-      return nullptr;
-    }
-    nl = std::move(parsed.netlist);
-    netlist::apply_model_cards(nl, &proc);
-    device::TabularDeviceModel nmos(device::MosType::nmos, proc);
-    device::TabularDeviceModel pmos(device::MosType::pmos, proc);
-    const device::ModelSet models{&nmos, &pmos, &proc};
-    design = circuit::partition_netlist(nl, models);
-  }
-  if (design.stages.empty()) {
-    *error = path + ": deck contains no logic stages";
-    return nullptr;
-  }
-  auto routing = std::make_unique<Fleet::Routing>();
-  routing->map = build_shard_map(design, shard_count);
-  if (!routing->map.acyclic) {
-    *error = path + ": cyclic stage graph cannot be sharded; serve it "
-                    "single-shard";
-    return nullptr;
-  }
-  if (routing->map.shard_count < shard_count) {
-    *error = path + ": design too small for " + std::to_string(shard_count) +
-             " shards";
-    return nullptr;
-  }
-  routing->total_stages = design.stages.size();
-  for (const auto& [net, driver] : design.driver_of)
-    routing->owner_of_net[net] =
-        routing->map.shard_of[static_cast<std::size_t>(driver.first)];
-  routing->primary_inputs.insert(design.primary_inputs.begin(),
-                                 design.primary_inputs.end());
-  for (int s = 0; s < routing->map.shard_count; ++s) {
-    for (const int g : routing->map.stages_of[static_cast<std::size_t>(s)]) {
-      for (const netlist::NetId n :
-           design.stages[static_cast<std::size_t>(g)].input_nets) {
-        const auto it = design.driver_of.find(n);
-        if (it == design.driver_of.end()) continue;
-        if (routing->map.shard_of[static_cast<std::size_t>(it->second.first)] ==
-            s)
-          continue;
-        auto& consumers = routing->consumers_of[n];
-        if (consumers.empty() || consumers.back() != s) consumers.push_back(s);
-      }
-    }
-  }
-  // NetIds and names must survive the routing's lifetime (the stages do
-  // not — only ownership was needed from them).
-  routing->nl = std::move(nl);
-  return routing;
+  return is_ok(resp) || is_err(resp);
 }
 
 }  // namespace
 
 Fleet::Fleet(FleetOptions opt,
-             std::vector<std::unique_ptr<ShardEndpoint>> shards,
              std::vector<std::unique_ptr<ShardEndpoint>> replicas)
     : opt_(opt),
-      shards_(std::move(shards)),
       replicas_(std::move(replicas)),
-      health_(static_cast<int>(shards_.size()), opt.health),
-      rng_(opt.seed) {
-  replica_live_.assign(replicas_.size(), 1);
-}
+      health_(static_cast<int>(replicas_.size()), opt.health) {}
 
 Fleet::~Fleet() = default;
 
@@ -239,134 +36,68 @@ std::unique_lock<std::shared_mutex> Fleet::writer_lock() {
   return std::unique_lock(mu_);
 }
 
-void Fleet::on_shard_failure(int shard) {
-  if (health_.note_failure(shard) == ShardState::down) {
-    std::lock_guard lock(pending_mu_);
-    pending_failover_.insert(shard);
-  }
-}
-
-Fleet::CallResult Fleet::call_shard(int shard, const std::string& line,
-                                    double timeout_ms) {
-  CallResult r;
-  ShardEndpoint* ep = shards_[static_cast<std::size_t>(shard)].get();
-  if (ep == nullptr) {
-    on_shard_failure(shard);
-    return r;
-  }
-  std::string resp;
-  if (!ep->call(line, timeout_ms, &resp) || !sane_reply(resp)) {
-    on_shard_failure(shard);
-    return r;
-  }
-  health_.note_success(shard);
-  r.ok = true;
-  r.response = std::move(resp);
-  return r;
-}
-
-double Fleet::jittered_backoff(int attempt) {
+void Fleet::bump(std::uint64_t FleetStats::*counter, std::uint64_t by) {
   std::lock_guard lock(stats_mu_);
-  return support::retry_backoff_ms(opt_.retry, attempt, &rng_);
+  stats_.*counter += by;
 }
 
-Fleet::CallResult Fleet::call_shard_retry(int shard, const std::string& line,
-                                          double timeout_ms) {
-  CallResult last = call_shard(shard, line, timeout_ms);
-  for (int attempt = 0; attempt < opt_.retry.retries; ++attempt) {
-    const bool retryable =
-        !last.ok || retryable_code(err_code(last.response));
-    if (!retryable) return last;
-    // A shard the health ladder already declared down will not answer a
-    // tighter retry loop either — bail to the failover path instead.
-    if (health_.state(shard) == ShardState::down) return last;
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-        jittered_backoff(attempt)));
-    {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.retries;
-    }
-    last = call_shard(shard, line, timeout_ms);
-  }
-  return last;
+void Fleet::note_failure(int replica) {
+  if (health_.note_failure(replica)) bump(&FleetStats::failovers);
 }
 
-Fleet::CallResult Fleet::call_replica(int replica, const std::string& line,
-                                      double timeout_ms) {
-  CallResult r;
-  if (!replica_live_[static_cast<std::size_t>(replica)]) return r;
+void Fleet::mark_down(int replica) {
+  if (health_.state(replica) == ShardState::down) return;
+  health_.mark(replica, ShardState::down);
+  bump(&FleetStats::failovers);
+}
+
+bool Fleet::live(int replica) const {
+  const ShardState s = health_.state(replica);
+  return s != ShardState::down && s != ShardState::warming;
+}
+
+std::optional<std::string> Fleet::call(int replica, const std::string& line,
+                                       double timeout_ms) {
   std::string resp;
   if (!replicas_[static_cast<std::size_t>(replica)]->call(line, timeout_ms,
                                                           &resp) ||
-      !sane_reply(resp))
-    return r;
-  r.ok = true;
-  r.response = std::move(resp);
-  return r;
-}
-
-Fleet::CallResult Fleet::any_replica(const std::string& line,
-                                     double timeout_ms) {
-  for (int i = 0; i < replica_count(); ++i) {
-    CallResult r = call_replica(i, line, timeout_ms);
-    if (r.ok) return r;
+      !sane_reply(resp)) {
+    note_failure(replica);
+    return std::nullopt;
   }
-  return {};
+  health_.note_success(replica);
+  return resp;
 }
 
-std::string Fleet::stamp(std::string response) {
+std::string Fleet::stamp(std::string response) const {
   if (is_ok(response))
     response = with_field(response, "epoch", std::to_string(epoch_));
-  if (is_degraded(response)) {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.degraded_replies;
-  }
   return response;
 }
 
 std::string Fleet::handle_line(const std::string& line) {
-  {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.requests;
-  }
+  bump(&FleetStats::requests);
   const ParsedRequest p = parse_request(line);
   if (!p.ok) {
     if (p.code.empty()) return "";  // blank / comment
     return err_line(p.code, p.error);
   }
-  const Request& r = p.request;
-  switch (r.verb) {
-    case Verb::kLoad:
-      return do_load(r.path);
-    case Verb::kArrival: {
-      const auto lock = reader_lock();
-      return do_arrival(line, r.net);
-    }
+  switch (p.request.verb) {
+    case Verb::kArrival:
     case Verb::kCorners:
-    case Verb::kSlack: {
-      // Whole-graph verbs: shard slices refuse them, replicas hold the
-      // full design and receive every mutation, so they answer exactly.
-      const auto lock = reader_lock();
-      if (!routing_)
-        return err_line("NODESIGN", "no design loaded; send LOAD first");
-      return do_replica_read(line);
-    }
+    case Verb::kSlack:
     case Verb::kCritPath: {
       const auto lock = reader_lock();
-      return do_critpath(r);
+      return do_read(line);
     }
+    case Verb::kLoad:
     case Verb::kResize:
-      return do_resize(line, r.stage);
     case Verb::kUpdate:
-      return do_update(line);
+      return do_write(p.request, line);
     case Verb::kStats:
       return do_stats();
     case Verb::kHealth:
       return health_line();
-    case Verb::kBoundary:
-    case Verb::kSetArr:
-      return err_line("UNSUPPORTED",
-                      "internal fleet verb; address a shard directly");
     case Verb::kShutdown:
       broadcast_shutdown();
       return ok_line("bye");
@@ -374,422 +105,106 @@ std::string Fleet::handle_line(const std::string& line) {
   return err_line("INTERNAL", "unhandled verb");
 }
 
-std::string Fleet::do_load(const std::string& path) {
-  std::string error;
-  // Heavy: parse + characterize + partition, outside the lock so reads
-  // against the previous design stay servable meanwhile.
-  std::unique_ptr<Routing> routing =
-      build_routing(path, shard_count(), &error);
-  if (!routing) return err_line("LOAD", error);
+std::string Fleet::do_read(const std::string& line) {
+  const int n = replica_count();
+  const std::uint64_t first = next_read_.fetch_add(1, std::memory_order_relaxed);
+  const bool hedging = opt_.hedge_ms > 0.0;
+  int attempts = 0;
+  for (int k = 0; k < n; ++k) {
+    const int i = static_cast<int>((first + static_cast<std::uint64_t>(k)) %
+                                   static_cast<std::uint64_t>(n));
+    if (!live(i)) continue;
+    // The first attempt gets hedge_ms; whatever follows it is the hedge.
+    const double timeout_ms = hedging && attempts == 0
+                                  ? std::min(opt_.hedge_ms, opt_.call_timeout_ms)
+                                  : opt_.call_timeout_ms;
+    if (hedging && attempts == 1) bump(&FleetStats::hedged_reads);
+    ++attempts;
+    const std::optional<std::string> resp = call(i, line, timeout_ms);
+    if (!resp) continue;
+    if (hedging && attempts == 2) bump(&FleetStats::hedge_wins);
+    return stamp(*resp);
+  }
+  return err_line("UNAVAILABLE", "no replica answered");
+}
 
+std::string Fleet::do_write(const Request& r, const std::string& line) {
   auto lock = writer_lock();
-  routing_ = std::move(routing);
-  // Any failure below leaves the fleet unloaded (a half-loaded fleet
-  // must refuse queries, not serve a mix of old and new designs).
-  const auto fail_load = [this](const std::string& code,
-                                const std::string& message) {
-    routing_.reset();
-    deck_.clear();
-    loaded_mirror_.store(false, std::memory_order_relaxed);
-    return err_line(code, message);
-  };
-  // Fan LOAD out to every shard and replica in parallel (each endpoint
-  // serializes its own calls; distinct endpoints proceed concurrently).
-  const int n = shard_count();
-  const int nr = replica_count();
-  std::vector<CallResult> shard_r(static_cast<std::size_t>(n));
-  std::vector<CallResult> rep_r(static_cast<std::size_t>(nr));
+  const double timeout_ms = r.verb == Verb::kResize ? opt_.call_timeout_ms
+                                                    : opt_.load_timeout_ms;
+  // Fan out to every live replica in parallel (each endpoint serializes
+  // its own calls; distinct endpoints proceed concurrently).
+  const int n = replica_count();
+  std::vector<char> sent(static_cast<std::size_t>(n), 0);
+  std::vector<std::optional<std::string>> replies(static_cast<std::size_t>(n));
   {
     std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(n + nr));
-    for (int s = 0; s < n; ++s)
-      threads.emplace_back([this, s, &path, &shard_r] {
-        shard_r[static_cast<std::size_t>(s)] =
-            call_shard_retry(s, "LOAD " + path, opt_.load_timeout_ms);
+    for (int i = 0; i < n; ++i) {
+      if (!live(i)) continue;
+      sent[static_cast<std::size_t>(i)] = 1;
+      threads.emplace_back([this, i, timeout_ms, &line, &replies] {
+        replies[static_cast<std::size_t>(i)] = call(i, line, timeout_ms);
       });
-    for (int i = 0; i < nr; ++i)
-      threads.emplace_back([this, i, &path, &rep_r] {
-        rep_r[static_cast<std::size_t>(i)] =
-            call_replica(i, "LOAD " + path, opt_.load_timeout_ms);
-      });
+    }
     for (auto& t : threads) t.join();
   }
-  std::uint64_t evals = 0;
-  for (int s = 0; s < n; ++s) {
-    const CallResult& cr = shard_r[static_cast<std::size_t>(s)];
-    if (!cr.ok)
-      return fail_load("SHARD_DOWN",
-                       std::to_string(s) + " did not answer LOAD");
-    if (!is_ok(cr.response)) {
-      const std::string resp = cr.response;  // shard's own diagnostic
-      fail_load("LOAD", "");
-      return resp;
+  // Replicas are deterministic, so every one that answered gives the
+  // same verdict: the first OK commits the write, and a replica that did
+  // not answer it OK missed it. When none answers OK, the first error is
+  // the replicas' own refusal (bad operands, unreadable deck) and nothing
+  // changed anywhere.
+  const auto committed = std::find_if(
+      replies.begin(), replies.end(),
+      [](const std::optional<std::string>& a) { return a && is_ok(*a); });
+  if (committed == replies.end()) {
+    for (const auto& a : replies)
+      if (a) return *a;
+    return err_line("UNAVAILABLE", "no replica answered the write");
+  }
+  int replicas = 0;
+  for (int i = 0; i < n; ++i) {
+    if (!sent[static_cast<std::size_t>(i)]) continue;
+    const auto& a = replies[static_cast<std::size_t>(i)];
+    if (a && is_ok(*a)) {
+      ++replicas;
+    } else {
+      mark_down(i);
     }
-    evals += std::strtoull(response_field(cr.response, "evals").c_str(),
-                           nullptr, 10);
   }
-  for (int i = 0; i < nr; ++i) {
-    const CallResult& cr = rep_r[static_cast<std::size_t>(i)];
-    // A replica that failed LOAD is dropped from rotation, not fatal:
-    // the shards alone still serve (hedging/failover just lose cover).
-    replica_live_[static_cast<std::size_t>(i)] =
-        cr.ok && is_ok(cr.response) ? 1 : 0;
+  if (r.verb == Verb::kLoad) {
+    deck_ = r.path;
+    mutation_log_.clear();
+  } else {
+    mutation_log_.push_back(line);
   }
-  std::uint64_t sweep_evals = 0;
-  std::string worst;
-  if (!sweep_boundaries(&sweep_evals, &worst, &error))
-    return fail_load("SHARD_DOWN", "boundary exchange failed: " + error);
-  evals += sweep_evals;
-  deck_ = path;
-  mutation_log_.clear();
   ++epoch_;
   epoch_mirror_.store(epoch_, std::memory_order_relaxed);
   loaded_mirror_.store(true, std::memory_order_relaxed);
-  return ok_line("epoch=" + std::to_string(epoch_) +
-                 " shards=" + std::to_string(n) +
-                 " replicas=" + std::to_string(nr) +
-                 " stages=" + std::to_string(routing_->total_stages) +
-                 " nets=" + std::to_string(routing_->nl.net_count()) +
-                 " evals=" + std::to_string(evals) + " worst=" + worst);
+  std::string resp = stamp(**committed);
+  if (r.verb == Verb::kLoad)
+    resp = with_field(resp, "replicas", std::to_string(replicas));
+  return resp;
 }
 
-bool Fleet::inject_entries(const std::string& boundary_resp,
-                           bool force_degraded, std::string* error) {
-  std::vector<std::string> entries;
-  split_list(response_field(boundary_resp, "nets"), ';', &entries);
-  std::vector<std::string> fields;
-  std::string net;
-  std::unordered_set<int> touched;
-  for (const std::string& e : entries) {
-    if (e.empty()) continue;
-    if (!rsplit(e, 8, &net, &fields)) {
-      *error = "malformed boundary entry: " + e;
-      return false;
-    }
-    const auto id = routing_->nl.find_net(net);
-    if (!id) continue;
-    routing_->boundary_cache[*id] = fields;
-    if (force_degraded) {
-      fields[3] = "1";
-      fields[7] = "1";
-    }
-    std::string line = "SETARR " + net;
-    for (const std::string& f : fields) {
-      line += ' ';
-      line += f;
-    }
-    const auto cit = routing_->consumers_of.find(*id);
-    if (cit == routing_->consumers_of.end()) continue;
-    for (const int t : cit->second) {
-      if (health_.state(t) == ShardState::down) continue;
-      const CallResult cr = call_shard_retry(t, line, opt_.call_timeout_ms);
-      if (!cr.ok || !is_ok(cr.response)) {
-        *error = "SETARR into shard " + std::to_string(t) + " failed";
-        return false;
-      }
-    }
+std::string Fleet::states() const {
+  std::string out;
+  for (const ShardState st : health_.snapshot()) {
+    if (!out.empty()) out += ',';
+    out += shard_state_name(st);
   }
-  return true;
-}
-
-bool Fleet::sweep_boundaries(std::uint64_t* evals, std::string* worst_raw,
-                             std::string* error) {
-  // One forward pass: by construction every cross-shard edge points to a
-  // higher shard, so once shard s runs UPDATE after all its injections,
-  // its exports (and its local worst) are final.
-  double worst = 0.0;
-  bool have_worst = false;
-  *evals = 0;
-  for (int s = 0; s < shard_count(); ++s) {
-    if (health_.state(s) == ShardState::down) {
-      *error = "shard " + std::to_string(s) + " is down";
-      return false;
-    }
-    const CallResult up = call_shard_retry(s, "UPDATE", opt_.load_timeout_ms);
-    if (!up.ok || !is_ok(up.response)) {
-      *error = "UPDATE on shard " + std::to_string(s) + " failed";
-      return false;
-    }
-    *evals += std::strtoull(response_field(up.response, "evals").c_str(),
-                            nullptr, 10);
-    const std::string w = response_field(up.response, "worst");
-    const double wv = std::strtod(w.c_str(), nullptr);
-    if (!have_worst || wv > worst) {
-      worst = wv;
-      *worst_raw = w;  // raw text: the reply never reprints the double
-      have_worst = true;
-    }
-    if (routing_->map.boundary_of[static_cast<std::size_t>(s)].empty())
-      continue;
-    const CallResult b = call_shard_retry(s, "BOUNDARY", opt_.call_timeout_ms);
-    if (!b.ok || !is_ok(b.response)) {
-      *error = "BOUNDARY on shard " + std::to_string(s) + " failed";
-      return false;
-    }
-    if (!inject_entries(b.response, /*force_degraded=*/false, error))
-      return false;
-  }
-  if (!have_worst) *worst_raw = format_double(0.0);
-  return true;
-}
-
-std::string Fleet::do_arrival(const std::string& line,
-                              const std::string& net) {
-  if (!routing_)
-    return err_line("NODESIGN", "no design loaded; send LOAD first");
-  const auto id = routing_->nl.find_net(net);
-  if (!id) return err_line("NOTFOUND", "unknown net: " + net);
-  const auto it = routing_->owner_of_net.find(*id);
-  if (it == routing_->owner_of_net.end()) {
-    // Primary input or rail: no owning shard. A replica has it; failing
-    // that, any shard whose slice consumes it does.
-    const CallResult rr = any_replica(line, opt_.call_timeout_ms);
-    if (rr.ok) return stamp(rr.response);
-    for (int s = 0; s < shard_count(); ++s) {
-      if (health_.state(s) == ShardState::down) continue;
-      const CallResult cr = call_shard_retry(s, line, opt_.call_timeout_ms);
-      if (cr.ok && !is_err(cr.response, "NOTFOUND"))
-        return stamp(cr.response);
-    }
-    return err_line("NOTFOUND", "no endpoint could answer for net: " + net);
-  }
-  const int owner = it->second;
-  const ShardState st = health_.state(owner);
-  if (st == ShardState::down || st == ShardState::warming) {
-    // Failover: the replica's answer is exact (it saw every mutation)
-    // but the fleet is degraded around this net's owner — say so.
-    const CallResult rr = any_replica(line, opt_.call_timeout_ms);
-    if (rr.ok) return stamp(degrade_response(rr.response));
-    return err_line("SHARD_DOWN", std::to_string(owner) +
-                                      " is down and no replica answered");
-  }
-  // Bounded hedging: the owner gets hedge_ms to answer before the read
-  // is hedged to a replica (one hedge per request, never a stampede).
-  const bool can_hedge = opt_.hedge_ms > 0.0 && replica_count() > 0;
-  const double primary_ms =
-      can_hedge ? std::min(opt_.hedge_ms, opt_.call_timeout_ms)
-                : opt_.call_timeout_ms;
-  const CallResult cr = call_shard_retry(owner, line, primary_ms);
-  if (cr.ok) return stamp(cr.response);
-  if (replica_count() > 0) {
-    {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.hedged_reads;
-    }
-    const CallResult rr = any_replica(line, opt_.call_timeout_ms);
-    if (rr.ok) {
-      {
-        std::lock_guard lock(stats_mu_);
-        ++stats_.hedge_wins;
-      }
-      // If the failed calls just took the owner down, the answer is
-      // served around a dead shard — tag it; a merely-slow owner's
-      // hedge stays exact-and-nominal.
-      std::string resp = rr.response;
-      if (health_.state(owner) == ShardState::down)
-        resp = degrade_response(resp);
-      return stamp(resp);
-    }
-  }
-  return err_line("SHARD_DOWN",
-                  std::to_string(owner) + " did not answer and no replica "
-                                          "covered the read");
-}
-
-std::string Fleet::do_replica_read(const std::string& line) {
-  const CallResult rr = any_replica(line, opt_.call_timeout_ms);
-  if (rr.ok) return stamp(rr.response);
-  if (replica_count() == 0)
-    return err_line("UNSUPPORTED",
-                    "verb needs a full-design replica (start the router "
-                    "with --replicas)");
-  return err_line("SHARD_DOWN", "no replica answered");
-}
-
-std::string Fleet::do_critpath(const Request& r) {
-  if (!routing_)
-    return err_line("NODESIGN", "no design loaded; send LOAD first");
-  if (!health_.all_healthy()) {
-    // A down shard may own the worst endpoint or a path segment; the
-    // replica's full-graph answer is exact but produced around a hole.
-    const CallResult rr = any_replica(
-        r.net.empty()
-            ? std::string("CRITPATH")
-            : "CRITPATH " + r.net +
-                  (r.path_edge ? std::string(" ") + r.path_edge : ""),
-        opt_.call_timeout_ms);
-    if (rr.ok) return stamp(degrade_response(rr.response));
-    return err_line("SHARD_DOWN",
-                    "fleet degraded and no replica answered CRITPATH");
-  }
-  std::string worst;
-  std::vector<PathStep> steps;
-  if (r.net.empty()) {
-    // Scatter: every shard's local worst; the global worst endpoint
-    // lives on the shard with the maximum (ties break to the lowest
-    // shard, matching the full engine's first-strictly-greater scan).
-    bool have = false;
-    double best = 0.0;
-    for (int s = 0; s < shard_count(); ++s) {
-      const CallResult cr =
-          call_shard_retry(s, "CRITPATH", opt_.call_timeout_ms);
-      if (!cr.ok)
-        return err_line("SHARD_DOWN",
-                        std::to_string(s) + " did not answer CRITPATH");
-      if (!is_ok(cr.response)) continue;  // e.g. shard with no endpoints
-      std::string w;
-      std::vector<PathStep> local;
-      if (!parse_path_response(cr.response, &w, &local)) continue;
-      const double wv = std::strtod(w.c_str(), nullptr);
-      if (!have || wv > best) {
-        best = wv;
-        worst = w;
-        steps = std::move(local);
-        have = true;
-      }
-    }
-    if (!have) return err_line("NOTFOUND", "no shard reported a path");
-  } else {
-    const auto id = routing_->nl.find_net(r.net);
-    if (!id) return err_line("NOTFOUND", "unknown net: " + r.net);
-    const auto it = routing_->owner_of_net.find(*id);
-    if (it == routing_->owner_of_net.end())
-      return err_line("NOTFOUND",
-                      "net has no driving stage: " + r.net);
-    std::string q = "CRITPATH " + r.net;
-    if (r.path_edge) {
-      q += ' ';
-      q += r.path_edge;
-    }
-    const CallResult cr = call_shard_retry(it->second, q,
-                                           opt_.call_timeout_ms);
-    if (!cr.ok)
-      return err_line("SHARD_DOWN", std::to_string(it->second) +
-                                        " did not answer CRITPATH");
-    if (!is_ok(cr.response)) return stamp(cr.response);
-    if (!parse_path_response(cr.response, &worst, &steps))
-      return err_line("INTERNAL", "unparsable shard path reply");
-  }
-  // Gather: while the path origin is a boundary input (stage -1, not a
-  // true primary input), ask the upstream owner for the segment feeding
-  // that exact (net, edge) arrival and graft it on. The boundary step
-  // appears in both segments; the upstream copy wins because it carries
-  // the true driving stage — reproducing the single-process path.
-  int guard = shard_count() + 2;
-  while (guard-- > 0 && !steps.empty() && steps.front().stage == "-1") {
-    const PathStep origin = steps.front();
-    const auto id = routing_->nl.find_net(origin.net);
-    if (!id || routing_->primary_inputs.count(*id)) break;
-    const auto it = routing_->owner_of_net.find(*id);
-    if (it == routing_->owner_of_net.end()) break;
-    const CallResult cr = call_shard_retry(
-        it->second, "CRITPATH " + origin.net + " " + origin.edge,
-        opt_.call_timeout_ms);
-    if (!cr.ok || !is_ok(cr.response))
-      return err_line("SHARD_DOWN",
-                      std::to_string(it->second) +
-                          " did not answer the path stitch for " + origin.net);
-    std::string seg_worst;
-    std::vector<PathStep> seg;
-    if (!parse_path_response(cr.response, &seg_worst, &seg) || seg.size() < 2)
-      break;
-    steps.erase(steps.begin());
-    steps.insert(steps.begin(), seg.begin(), seg.end());
-  }
-  std::string resp = format_path_reply(epoch_, worst, steps);
-  return stamp(std::move(resp));
-}
-
-std::string Fleet::do_resize(const std::string& line, int stage) {
-  auto lock = writer_lock();
-  if (!routing_)
-    return err_line("NODESIGN", "no design loaded; send LOAD first");
-  const auto down = health_.down_shards();
-  if (!down.empty()) {
-    // Consistent-or-refused: a mutation applied around a dead shard
-    // would tear the fleet's state (the dead shard re-warms into a
-    // different design than its peers answered from).
-    std::lock_guard slock(stats_mu_);
-    ++stats_.refused_mutations;
-    return err_line("SHARD_DOWN",
-                    std::to_string(down.front()) +
-                        " is down; mutations refused until the fleet "
-                        "re-converges");
-  }
-  if (stage < 0 ||
-      static_cast<std::size_t>(stage) >= routing_->map.shard_of.size())
-    return err_line("ARG", "stage index out of range: " +
-                               std::to_string(stage));
-  const int owner = routing_->map.shard_of[static_cast<std::size_t>(stage)];
-  const CallResult cr = call_shard_retry(owner, line, opt_.call_timeout_ms);
-  if (!cr.ok)
-    return err_line("SHARD_DOWN",
-                    std::to_string(owner) + " did not answer RESIZE");
-  if (!is_ok(cr.response)) return stamp(cr.response);
-  // Replicas replay every mutation so their full-design answers stay
-  // exact; one that cannot is dropped from rotation, not left stale.
-  for (int i = 0; i < replica_count(); ++i) {
-    if (!replica_live_[static_cast<std::size_t>(i)]) continue;
-    const CallResult rr = call_replica(i, line, opt_.call_timeout_ms);
-    if (!rr.ok || !is_ok(rr.response))
-      replica_live_[static_cast<std::size_t>(i)] = 0;
-  }
-  mutation_log_.push_back(line);
-  ++epoch_;
-  epoch_mirror_.store(epoch_, std::memory_order_relaxed);
-  return stamp(cr.response);
-}
-
-std::string Fleet::do_update(const std::string& line) {
-  auto lock = writer_lock();
-  if (!routing_)
-    return err_line("NODESIGN", "no design loaded; send LOAD first");
-  const auto down = health_.down_shards();
-  if (!down.empty()) {
-    std::lock_guard slock(stats_mu_);
-    ++stats_.refused_mutations;
-    return err_line("SHARD_DOWN",
-                    std::to_string(down.front()) +
-                        " is down; mutations refused until the fleet "
-                        "re-converges");
-  }
-  std::uint64_t evals = 0;
-  std::string worst, error;
-  if (!sweep_boundaries(&evals, &worst, &error))
-    return err_line("SHARD_DOWN", "boundary exchange failed: " + error);
-  for (int i = 0; i < replica_count(); ++i) {
-    if (!replica_live_[static_cast<std::size_t>(i)]) continue;
-    const CallResult rr = call_replica(i, line, opt_.load_timeout_ms);
-    if (!rr.ok || !is_ok(rr.response))
-      replica_live_[static_cast<std::size_t>(i)] = 0;
-  }
-  mutation_log_.push_back(line);
-  ++epoch_;
-  epoch_mirror_.store(epoch_, std::memory_order_relaxed);
-  return ok_line("epoch=" + std::to_string(epoch_) +
-                 " evals=" + std::to_string(evals) + " worst=" + worst);
+  return out;
 }
 
 std::string Fleet::do_stats() {
   const auto lock = reader_lock();
-  FleetStats s = stats();
-  std::string states;
-  for (const ShardState st : health_.snapshot()) {
-    if (!states.empty()) states += ',';
-    states += shard_state_name(st);
-  }
-  int live_replicas = 0;
-  for (const char l : replica_live_) live_replicas += l ? 1 : 0;
+  const FleetStats s = stats();
   return ok_line(
-      "epoch=" + std::to_string(epoch_) + " loaded=" +
-      (routing_ ? "1" : "0") + " shards=" + std::to_string(shard_count()) +
-      " replicas=" + std::to_string(live_replicas) + " states=" + states +
+      "epoch=" + std::to_string(epoch_) +
+      " loaded=" + (deck_.empty() ? "0" : "1") +
+      " replicas=" + std::to_string(replica_count()) + " states=" + states() +
       " requests=" + std::to_string(s.requests) +
-      " retries=" + std::to_string(s.retries) +
       " hedged=" + std::to_string(s.hedged_reads) +
       " hedge_wins=" + std::to_string(s.hedge_wins) +
-      " degraded=" + std::to_string(s.degraded_replies) +
-      " refused_mutations=" + std::to_string(s.refused_mutations) +
       " failovers=" + std::to_string(s.failovers) +
       " restarts=" + std::to_string(s.restarts) +
       " refused_restarts=" + std::to_string(s.refused_restarts) +
@@ -798,167 +213,55 @@ std::string Fleet::do_stats() {
 }
 
 std::string Fleet::health_line() const {
-  std::string states;
-  for (const ShardState st : health_.snapshot()) {
-    if (!states.empty()) states += ',';
-    states += shard_state_name(st);
-  }
   return ok_line(
       "health=1 role=router loaded=" +
       std::string(loaded_mirror_.load(std::memory_order_relaxed) ? "1"
                                                                  : "0") +
       " epoch=" +
       std::to_string(epoch_mirror_.load(std::memory_order_relaxed)) +
-      " shards=" + std::to_string(shard_count()) + " states=" + states);
+      " replicas=" + std::to_string(replica_count()) + " states=" + states());
 }
 
-void Fleet::inject_degraded(int shard) {
-  // Last-known boundary values, re-tagged degraded=1: downstream cones
-  // keep answering with the best available numbers, and the engine's
-  // sticky degraded flag marks every net that transitively depends on
-  // the dead shard — exactly the nets whose answers may now be stale.
-  std::unordered_set<int> touched;
-  for (const netlist::NetId n :
-       routing_->map.boundary_of[static_cast<std::size_t>(shard)]) {
-    const auto cache = routing_->boundary_cache.find(n);
-    if (cache == routing_->boundary_cache.end()) continue;
-    std::vector<std::string> fields = cache->second;
-    fields[3] = "1";
-    fields[7] = "1";
-    std::string line = "SETARR " + routing_->nl.net_name(n);
-    for (const std::string& f : fields) {
-      line += ' ';
-      line += f;
-    }
-    const auto cit = routing_->consumers_of.find(n);
-    if (cit == routing_->consumers_of.end()) continue;
-    for (const int t : cit->second) {
-      if (t == shard || health_.state(t) == ShardState::down) continue;
-      const CallResult cr = call_shard_retry(t, line, opt_.call_timeout_ms);
-      if (cr.ok && is_ok(cr.response)) touched.insert(t);
-    }
-  }
-  for (const int t : touched)
-    call_shard_retry(t, "UPDATE", opt_.load_timeout_ms);
-}
-
-bool Fleet::rewarm(int shard, std::string* error) {
-  // The restarted process is empty: replay LOAD and the slice of the
-  // mutation log it owns. The boundary resync (and degraded-flag clear)
-  // happens in the caller's fleet-wide sweep afterwards.
-  CallResult cr = call_shard_retry(shard, "LOAD " + deck_,
-                                   opt_.load_timeout_ms);
-  if (!cr.ok || !is_ok(cr.response)) {
-    *error = "re-warm LOAD on shard " + std::to_string(shard) + " failed";
-    return false;
-  }
+bool Fleet::rewarm(int replica) {
+  // A restarted process is empty: replay LOAD and every write since.
+  if (deck_.empty()) return true;
+  std::optional<std::string> resp =
+      call(replica, "LOAD " + deck_, opt_.load_timeout_ms);
+  if (!resp || !is_ok(*resp)) return false;
   for (const std::string& m : mutation_log_) {
-    const ParsedRequest p = parse_request(m);
-    if (!p.ok) continue;
-    if (p.request.verb == Verb::kResize) {
-      const std::size_t st = static_cast<std::size_t>(p.request.stage);
-      if (st >= routing_->map.shard_of.size() ||
-          routing_->map.shard_of[st] != shard)
-        continue;
-      cr = call_shard_retry(shard, m, opt_.call_timeout_ms);
-      if (!cr.ok || !is_ok(cr.response)) {
-        *error = "mutation replay on shard " + std::to_string(shard) +
-                 " failed";
-        return false;
-      }
-    }
-    // UPDATE lines need no replay: the fleet-wide sweep re-propagates.
+    resp = call(replica, m, opt_.load_timeout_ms);
+    if (!resp || !is_ok(*resp)) return false;
   }
   return true;
 }
 
 std::string Fleet::supervise() {
   auto lock = writer_lock();
-  {
-    std::lock_guard slock(stats_mu_);
-    ++stats_.supervise_passes;
-  }
-  const int n = shard_count();
+  bump(&FleetStats::supervise_passes);
   // Probe: HEALTH answers off the admission queue within the probe
   // deadline, so "no answer" means failing, not merely saturated.
-  for (int s = 0; s < n; ++s) {
-    ShardEndpoint* ep = shards_[static_cast<std::size_t>(s)].get();
-    std::string resp;
-    const bool ok = ep != nullptr &&
-                    ep->call("HEALTH", opt_.health.probe_timeout_ms, &resp) &&
-                    sane_reply(resp) && is_ok(resp);
-    if (ok) {
-      health_.note_success(s);
-    } else {
-      on_shard_failure(s);
-    }
-  }
-  // Degrade: newly-down shards get their consumers' inputs re-tagged.
-  std::set<int> pending;
-  {
-    std::lock_guard plock(pending_mu_);
-    pending.swap(pending_failover_);
-  }
-  int degraded_now = 0;
-  for (const int k : pending) {
-    if (health_.state(k) != ShardState::down) continue;
-    if (degraded_marked_.count(k)) continue;
-    if (routing_) inject_degraded(k);
-    degraded_marked_.insert(k);
-    ++degraded_now;
-    std::lock_guard slock(stats_mu_);
-    ++stats_.failovers;
-  }
-  // Restart + re-warm. All down shards are restarted and replayed
-  // first, then one fleet-wide sweep resyncs boundaries and clears the
-  // degraded flags — shards come back healthy together, bit-identical.
-  const auto down = health_.down_shards();
-  std::vector<int> warmed;
-  int refused = 0;
-  for (const int k : down) {
-    if (!restart_) {
-      ++refused;
-      continue;
-    }
-    std::unique_ptr<ShardEndpoint> ep = restart_(k);
+  for (int i = 0; i < replica_count(); ++i)
+    if (health_.state(i) != ShardState::down)
+      call(i, "HEALTH", opt_.health.probe_timeout_ms);
+  int recovered = 0, refused = 0;
+  for (const int i : health_.down_shards()) {
+    std::unique_ptr<ShardEndpoint> ep = restart_ ? restart_(i) : nullptr;
     if (!ep) {
       ++refused;
       continue;
     }
-    shards_[static_cast<std::size_t>(k)] = std::move(ep);
-    health_.mark(k, ShardState::warming);
-    std::string error;
-    if (!routing_ || rewarm(k, &error)) {
-      // Unloaded fleet: a fresh empty shard is already in sync.
-      warmed.push_back(k);
+    replicas_[static_cast<std::size_t>(i)] = std::move(ep);
+    health_.mark(i, ShardState::warming);
+    if (rewarm(i)) {
+      health_.mark(i, ShardState::healthy);
+      ++recovered;
     } else {
-      health_.mark(k, ShardState::down);
+      health_.mark(i, ShardState::down);
     }
   }
-  if (refused > 0) {
-    std::lock_guard slock(stats_mu_);
-    stats_.refused_restarts += static_cast<std::uint64_t>(refused);
-  }
-  int recovered = 0;
-  if (!warmed.empty()) {
-    bool converged = true;
-    if (routing_) {
-      std::uint64_t evals = 0;
-      std::string worst, error;
-      converged = sweep_boundaries(&evals, &worst, &error);
-    }
-    for (const int k : warmed) {
-      health_.mark(k, converged ? ShardState::healthy : ShardState::down);
-      if (converged) {
-        degraded_marked_.erase(k);
-        ++recovered;
-        std::lock_guard slock(stats_mu_);
-        ++stats_.restarts;
-      }
-    }
-  }
-  return ok_line("supervised=1 shards=" + std::to_string(n) +
-                 " degraded_now=" + std::to_string(degraded_now) +
+  bump(&FleetStats::restarts, static_cast<std::uint64_t>(recovered));
+  bump(&FleetStats::refused_restarts, static_cast<std::uint64_t>(refused));
+  return ok_line("supervised=1 replicas=" + std::to_string(replica_count()) +
                  " recovered=" + std::to_string(recovered) +
                  " refused_restarts=" + std::to_string(refused) +
                  " down=" + std::to_string(health_.down_shards().size()));
@@ -967,15 +270,13 @@ std::string Fleet::supervise() {
 void Fleet::broadcast_shutdown() {
   const auto lock = reader_lock();
   std::string resp;
-  for (const auto& ep : shards_)
-    if (ep) ep->call("SHUTDOWN", opt_.call_timeout_ms, &resp);
   for (const auto& ep : replicas_)
-    if (ep) ep->call("SHUTDOWN", opt_.call_timeout_ms, &resp);
+    ep->call("SHUTDOWN", opt_.call_timeout_ms, &resp);
 }
 
 bool Fleet::loaded() const {
   const auto lock = reader_lock();
-  return routing_ != nullptr;
+  return !deck_.empty();
 }
 
 std::uint64_t Fleet::epoch() const {

@@ -1,37 +1,30 @@
-// Fleet — the shard router's control plane and data plane.
+// Fleet — the replica router's control plane and data plane.
 //
-// A Fleet fronts N shard endpoints (each a qwm_serve --shard k/N
-// process or an in-process Server) plus optional full-design read
-// replicas, and speaks the same newline protocol as a single server:
+// A Fleet fronts R identical full-design replicas (each a qwm_serve
+// process or an in-process Server) and speaks the same newline protocol
+// as a single server. A QWM analysis is a pure function of the deck and
+// the edits applied to it, so any replica that has loaded the same deck
+// and replayed the same edits is an exact stand-in for any other:
 //
-//  * LOAD fans out to every shard and replica, then runs the one-pass
-//    boundary-arrival exchange: shards are swept in shard order, each
-//    shard's BOUNDARY exports injected into its consumers via SETARR
-//    (text passed through verbatim — %.17g survives bit-exactly) and
-//    re-propagated with UPDATE. Level-major sharding makes every
-//    cross-shard edge point forward, so one sweep converges.
-//  * ARRIVAL routes to the owning shard (per the deterministic
-//    ShardMap); a slow owner is hedged against a replica after
-//    hedge_ms; a down owner's nets are answered from a replica with the
-//    reply re-tagged OK DEGRADED — exact values, honestly labelled.
-//  * SLACK / CORNERS need whole-graph context and route to replicas.
-//  * CRITPATH is scatter-gather: every healthy shard reports its local
-//    worst path; the global worst is stitched across shard boundaries
-//    by re-querying `CRITPATH <net> <edge>` on each upstream owner.
-//  * RESIZE / UPDATE run under the fleet-wide epoch and are
-//    consistent-or-refused: while any shard is down, mutations answer
-//    ERR SHARD_DOWN instead of tearing the fleet's state.
+//  * Reads (ARRIVAL, SLACK, CORNERS, CRITPATH) go round-robin to the
+//    next replica that is not down or warming. With hedge_ms set, the
+//    first attempt gets hedge_ms to answer before the read moves on; a
+//    transport failure or torn reply fails over to the next replica.
+//    The replica's reply is forwarded byte for byte, except that its
+//    epoch field carries the fleet epoch.
+//  * Writes (LOAD, RESIZE, UPDATE) fan out to every live replica under
+//    the writer lock and the fleet epoch. Each committed write is
+//    appended to the mutation log, and LOAD resets the log. A replica
+//    that misses a write is marked down; a write proceeds while any
+//    replica is live.
 //
 // Failover ladder (driven by supervise(), which the router calls
 // periodically and tests call deterministically): HEALTH probes with
-// liveness deadlines mark silent shards suspect then down; a newly-down
-// shard's last-known boundary arrivals are re-injected into its
-// consumers with degraded=1, so every downstream net answers through
-// the engine's sticky Arrival::degraded path; the restart hook brings
-// the process back; re-warm replays LOAD + the owned slice of the
-// mutation log + a fresh boundary sweep (degraded flags clear), and the
-// shard returns to healthy with bit-identical answers at the same
-// fleet epoch.
+// liveness deadlines walk a silent replica healthy -> suspect -> down,
+// and reads route around it meanwhile, answered exactly by the
+// survivors. The restart hook brings the process back, re-warm replays
+// LOAD plus the whole mutation log, and the replica rejoins the
+// rotation answering bit-identically to its peers.
 #pragma once
 
 #include <atomic>
@@ -39,7 +32,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <set>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -47,34 +40,25 @@
 #include "qwm/service/health.h"
 #include "qwm/service/protocol.h"
 #include "qwm/service/shard_client.h"
-#include "qwm/support/retry.h"
 
 namespace qwm::service {
 
 struct FleetOptions {
-  /// Per-call deadline for queries and boundary-exchange traffic.
+  /// Per-call deadline for reads, RESIZE and SHUTDOWN.
   double call_timeout_ms = 5000.0;
   /// Deadline for the heavy verbs (LOAD, UPDATE) — full analyses.
   double load_timeout_ms = 600000.0;
-  /// > 0: a read that hasn't answered within this is declared slow and
-  /// hedged against a replica (bounded: one hedge per request).
+  /// > 0: a read the first replica hasn't answered within this is
+  /// hedged to the next replica (one hedge per request).
   double hedge_ms = 0.0;
-  /// Transient-error retry (BUSY/DEADLINE + transport failures),
-  /// jittered exponential backoff from support/retry.h.
-  support::RetryPolicy retry;
   HealthPolicy health;
-  /// Seed of the backoff-jitter stream (decorrelates concurrent fleets).
-  std::uint64_t seed = 0x5eedf1ee7ULL;
 };
 
 struct FleetStats {
   std::uint64_t requests = 0;
-  std::uint64_t retries = 0;
   std::uint64_t hedged_reads = 0;
   std::uint64_t hedge_wins = 0;
-  std::uint64_t degraded_replies = 0;
-  std::uint64_t refused_mutations = 0;
-  std::uint64_t failovers = 0;         ///< healthy->down transitions
+  std::uint64_t failovers = 0;         ///< replicas taken down
   std::uint64_t restarts = 0;          ///< successful re-warms
   std::uint64_t refused_restarts = 0;  ///< restart hook returned nothing
   std::uint64_t supervise_passes = 0;
@@ -82,13 +66,14 @@ struct FleetStats {
 
 class Fleet {
  public:
-  /// Brings shard `shard` back after a crash (fork/exec a new process,
-  /// or construct a fresh in-process server) and returns its endpoint;
-  /// nullptr = restart refused/failed (retried on the next supervise).
-  using RestartFn = std::function<std::unique_ptr<ShardEndpoint>(int shard)>;
+  /// Brings replica `replica` back after a crash (fork/exec a new
+  /// process, or construct a fresh in-process server) and returns its
+  /// endpoint; nullptr = restart refused/failed (retried on the next
+  /// supervise).
+  using RestartFn =
+      std::function<std::unique_ptr<ShardEndpoint>(int replica)>;
 
-  Fleet(FleetOptions opt, std::vector<std::unique_ptr<ShardEndpoint>> shards,
-        std::vector<std::unique_ptr<ShardEndpoint>> replicas);
+  Fleet(FleetOptions opt, std::vector<std::unique_ptr<ShardEndpoint>> replicas);
   ~Fleet();
 
   Fleet(const Fleet&) = delete;
@@ -104,75 +89,42 @@ class Fleet {
   /// the fleet lock).
   std::string health_line() const;
 
-  /// One supervision pass: probe every shard, degrade the cones of
-  /// newly-down shards, restart + re-warm down shards. Returns a
-  /// summary line for logs. Serialized with mutations.
+  /// One supervision pass: probe every live replica, then restart and
+  /// re-warm the down ones. Returns a summary line for logs. Serialized
+  /// with writes.
   std::string supervise();
 
-  /// Broadcasts SHUTDOWN to every shard and replica (best effort).
+  /// Broadcasts SHUTDOWN to every replica (best effort).
   void broadcast_shutdown();
 
   bool loaded() const;
   std::uint64_t epoch() const;
-  int shard_count() const { return static_cast<int>(shards_.size()); }
   int replica_count() const { return static_cast<int>(replicas_.size()); }
-  ShardState shard_state(int shard) const { return health_.state(shard); }
+  ShardState replica_state(int replica) const { return health_.state(replica); }
   FleetStats stats() const;
 
-  struct Routing;  ///< full-design name/ownership tables (fleet.cpp)
-
  private:
-  struct CallResult {
-    bool ok = false;       ///< transport round trip completed sanely
-    std::string response;  ///< only meaningful when ok
-  };
+  /// One round trip with health bookkeeping; nullopt on a transport
+  /// failure or a torn reply.
+  std::optional<std::string> call(int replica, const std::string& line,
+                                  double timeout_ms);
+  /// Health-ladder bookkeeping for one failed call.
+  void note_failure(int replica);
+  /// Takes a live replica out of rotation (it missed a write).
+  void mark_down(int replica);
+  /// Not down or warming: eligible for reads and writes.
+  bool live(int replica) const;
 
-  // Endpoint plumbing. Shard indices [0, shards); replica index r is
-  // addressed separately. All honor per-call timeouts; shard calls feed
-  // the health tracker.
-  CallResult call_shard(int shard, const std::string& line, double timeout_ms);
-  CallResult call_replica(int replica, const std::string& line,
-                          double timeout_ms);
-  /// Retry wrapper: transport failures and retryable codes retry with
-  /// jittered backoff per opt_.retry.
-  CallResult call_shard_retry(int shard, const std::string& line,
-                              double timeout_ms);
-  /// First live replica that answers; !ok when none do.
-  CallResult any_replica(const std::string& line, double timeout_ms);
-  /// Health-ladder bookkeeping for one failed shard call (queues the
-  /// failover-marking work when the shard just went down).
-  void on_shard_failure(int shard);
-
-  // Verb handlers (shared or exclusive lock noted in fleet.cpp).
-  std::string do_load(const std::string& path);
-  std::string do_arrival(const std::string& line, const std::string& net);
-  std::string do_replica_read(const std::string& line);
-  std::string do_critpath(const Request& r);
-  std::string do_resize(const std::string& line, int stage);
-  std::string do_update(const std::string& line);
+  std::string do_read(const std::string& line);
+  std::string do_write(const Request& r, const std::string& line);
   std::string do_stats();
+  /// LOAD + the whole mutation log into a restarted replica.
+  bool rewarm(int replica);
 
-  /// The one-pass forward boundary exchange (see header comment). Sums
-  /// the shards' UPDATE evals and keeps the raw text of the maximum
-  /// worst= field. Returns false when a required shard call failed.
-  bool sweep_boundaries(std::uint64_t* evals, std::string* worst_raw,
-                        std::string* error);
-  /// Parses one BOUNDARY reply, refreshes the boundary cache, and
-  /// SETARRs every entry into its consumer shards (degraded flags forced
-  /// on when `force_degraded`).
-  bool inject_entries(const std::string& boundary_resp, bool force_degraded,
-                      std::string* error);
-  /// Re-injects shard k's last-known exports into its consumers with
-  /// degraded=1 and re-propagates — the detect->degrade rung.
-  void inject_degraded(int shard);
-  /// LOAD + owned-mutation replay for a restarted shard; the caller's
-  /// fleet-wide sweep then resyncs boundaries and clears degradation.
-  bool rewarm(int shard, std::string* error);
-
-  /// Stamps the fleet epoch into an OK reply and counts degradation.
-  std::string stamp(std::string response);
-
-  double jittered_backoff(int attempt);
+  /// Stamps the fleet epoch into an OK reply (errors pass through).
+  std::string stamp(std::string response) const;
+  std::string states() const;
+  void bump(std::uint64_t FleetStats::*counter, std::uint64_t by = 1);
 
   /// Readers pass through gate_ before taking mu_ shared; writers hold
   /// gate_ while waiting (same writer-fairness idiom as DesignDb).
@@ -184,23 +136,13 @@ class Fleet {
 
   mutable std::mutex gate_;
   mutable std::shared_mutex mu_;
-  std::vector<std::unique_ptr<ShardEndpoint>> shards_;
   std::vector<std::unique_ptr<ShardEndpoint>> replicas_;
-  /// Replica still serving (a replica that misses a mutation is dropped
-  /// from rotation rather than left to answer from a stale design).
-  std::vector<char> replica_live_;
-  std::unique_ptr<Routing> routing_;
-  std::string deck_;                       ///< last LOAD source (re-warm)
+  std::string deck_;                       ///< last LOAD source ("" = none)
   std::vector<std::string> mutation_log_;  ///< RESIZE/UPDATE since LOAD
   std::uint64_t epoch_ = 0;
 
   HealthTracker health_;
-  /// Newly-down shards whose consumers still need degraded marking.
-  std::mutex pending_mu_;
-  std::set<int> pending_failover_;
-  /// Shards whose cones carry the degraded tag (cleared on re-warm);
-  /// guarded by the writer lock (supervise-only).
-  std::set<int> degraded_marked_;
+  std::atomic<std::uint64_t> next_read_{0};  ///< round-robin cursor
 
   /// Lock-free mirrors for the HEALTH fast path.
   std::atomic<std::uint64_t> epoch_mirror_{0};
@@ -208,7 +150,6 @@ class Fleet {
 
   mutable std::mutex stats_mu_;
   FleetStats stats_;
-  std::uint64_t rng_;
 };
 
 }  // namespace qwm::service

@@ -25,20 +25,22 @@ void HealthTracker::note_success(int shard) {
   std::lock_guard lock(mu_);
   const auto i = static_cast<std::size_t>(shard);
   consecutive_failures_[i] = 0;
-  // Success clears suspicion, but never resurrects a down/warming shard —
-  // only the supervisor's re-warm may promote those.
+  // Success clears suspicion, but never resurrects a down/warming
+  // replica — only the supervisor's re-warm may promote those.
   if (state_[i] == ShardState::suspect) state_[i] = ShardState::healthy;
 }
 
-ShardState HealthTracker::note_failure(int shard) {
+bool HealthTracker::note_failure(int shard) {
   std::lock_guard lock(mu_);
   const auto i = static_cast<std::size_t>(shard);
   const int fails = ++consecutive_failures_[i];
   if (state_[i] == ShardState::healthy && fails >= policy_.suspect_after)
     state_[i] = ShardState::suspect;
-  if (state_[i] == ShardState::suspect && fails >= policy_.down_after)
+  if (state_[i] == ShardState::suspect && fails >= policy_.down_after) {
     state_[i] = ShardState::down;
-  return state_[i];
+    return true;
+  }
+  return false;
 }
 
 void HealthTracker::mark(int shard, ShardState s) {
@@ -51,13 +53,6 @@ void HealthTracker::mark(int shard, ShardState s) {
 ShardState HealthTracker::state(int shard) const {
   std::lock_guard lock(mu_);
   return state_[static_cast<std::size_t>(shard)];
-}
-
-bool HealthTracker::all_healthy() const {
-  std::lock_guard lock(mu_);
-  return std::all_of(state_.begin(), state_.end(), [](ShardState s) {
-    return s == ShardState::healthy;
-  });
 }
 
 std::vector<int> HealthTracker::down_shards() const {

@@ -41,21 +41,6 @@ bool parse_int(const std::string& tok, int* out) {
   return true;
 }
 
-// strtod, not parse_spice_number: SETARR operands are %.17g round trips
-// of engine doubles (including negatives and exponents), never suffixed
-// SPICE literals, and must re-parse to the exact bits.
-bool parse_exact_double(const std::string& tok, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(tok.c_str(), &end);
-  return end != tok.c_str() && *end == '\0';
-}
-
-bool parse_bool01(const std::string& tok, bool* out) {
-  if (tok == "0") { *out = false; return true; }
-  if (tok == "1") { *out = true; return true; }
-  return false;
-}
-
 ParsedRequest bad(const std::string& code, const std::string& msg) {
   ParsedRequest p;
   p.code = code;
@@ -76,8 +61,6 @@ const char* verb_name(Verb v) {
     case Verb::kUpdate: return "update";
     case Verb::kStats: return "stats";
     case Verb::kHealth: return "health";
-    case Verb::kBoundary: return "boundary";
-    case Verb::kSetArr: return "setarr";
     case Verb::kShutdown: return "shutdown";
   }
   return "?";
@@ -113,14 +96,8 @@ ParsedRequest parse_request(const std::string& line) {
     if (!netlist::parse_spice_number(t[2], &r.period) || r.period <= 0.0)
       return bad("ARG", "bad period: " + t[2]);
   } else if (verb == "critpath") {
-    if (t.size() > 3) return bad("ARG", "usage: CRITPATH [net [R|F]]");
+    if (t.size() != 1) return bad("ARG", "usage: CRITPATH");
     r.verb = Verb::kCritPath;
-    if (t.size() >= 2) r.net = lower(t[1]);
-    if (t.size() == 3) {
-      const std::string e = lower(t[2]);
-      if (e != "r" && e != "f") return bad("ARG", "bad edge (want R|F): " + t[2]);
-      r.path_edge = e == "r" ? 'R' : 'F';
-    }
   } else if (verb == "resize") {
     if (t.size() != 4) return bad("ARG", "usage: RESIZE <stage> <edge> <width>");
     r.verb = Verb::kResize;
@@ -137,32 +114,6 @@ ParsedRequest parse_request(const std::string& line) {
   } else if (verb == "health") {
     if (t.size() != 1) return bad("ARG", "usage: HEALTH");
     r.verb = Verb::kHealth;
-  } else if (verb == "boundary") {
-    if (t.size() != 1) return bad("ARG", "usage: BOUNDARY");
-    r.verb = Verb::kBoundary;
-  } else if (verb == "setarr") {
-    if (t.size() != 10)
-      return bad("ARG",
-                 "usage: SETARR <net> <rv> <rise> <rslew> <rdeg> <fv> "
-                 "<fall> <fslew> <fdeg>");
-    r.verb = Verb::kSetArr;
-    r.net = lower(t[1]);
-    if (!parse_bool01(t[2], &r.rise.valid))
-      return bad("ARG", "bad rise-valid flag: " + t[2]);
-    if (!parse_exact_double(t[3], &r.rise.time))
-      return bad("ARG", "bad rise time: " + t[3]);
-    if (!parse_exact_double(t[4], &r.rise.slew))
-      return bad("ARG", "bad rise slew: " + t[4]);
-    if (!parse_bool01(t[5], &r.rise.degraded))
-      return bad("ARG", "bad rise-degraded flag: " + t[5]);
-    if (!parse_bool01(t[6], &r.fall.valid))
-      return bad("ARG", "bad fall-valid flag: " + t[6]);
-    if (!parse_exact_double(t[7], &r.fall.time))
-      return bad("ARG", "bad fall time: " + t[7]);
-    if (!parse_exact_double(t[8], &r.fall.slew))
-      return bad("ARG", "bad fall slew: " + t[8]);
-    if (!parse_bool01(t[9], &r.fall.degraded))
-      return bad("ARG", "bad fall-degraded flag: " + t[9]);
   } else if (verb == "shutdown") {
     if (t.size() != 1) return bad("ARG", "usage: SHUTDOWN");
     r.verb = Verb::kShutdown;
@@ -216,13 +167,7 @@ std::string err_code(const std::string& response) {
 
 bool retryable_code(const std::string& code) {
   return code == "BUSY" || code == "DEADLINE" || code == "DEGRADED" ||
-         code == "SHARD_DOWN";
-}
-
-std::string degrade_response(const std::string& response) {
-  if (!is_ok(response) || is_degraded(response)) return response;
-  return response == "OK" ? "OK DEGRADED"
-                          : "OK DEGRADED " + response.substr(3);
+         code == "UNAVAILABLE";
 }
 
 std::string with_field(const std::string& response, const std::string& key,

@@ -12,34 +12,23 @@
 //                              min/max envelope's setup/hold slack too
 //                              (requires a --corners server)
 //   SLACK <net> <period>       slack against a clock period (SPICE suffixes ok)
-//   CRITPATH [net [R|F]]       worst path from endpoint to primary input;
-//                              with a net (and optional edge), the path
-//                              feeding that arrival instead — the shard
-//                              router's cross-shard stitching primitive
+//   CRITPATH                   worst path from endpoint to primary input
 //   RESIZE <stage> <edge> <w>  stage a transistor resize (width in meters)
 //   UPDATE                     incremental re-analysis of the dirty cone
 //   STATS                      server + cache + per-verb counters
 //   HEALTH                     liveness probe (answered off the admission
 //                              queue, so it works even under overload)
-//   BOUNDARY                   shard mode: arrivals of the boundary nets
-//                              this shard exports to its consumers
-//   SETARR <net> <rv> <rise> <rslew> <rdeg> <fv> <fall> <fslew> <fdeg>
-//                              inject a boundary input arrival (both
-//                              edges with validity + degraded flags);
-//                              the fleet's boundary-arrival exchange
-//                              verb
 //   SHUTDOWN                   stop the daemon
 //
 // Error responses are "ERR <CODE> [message]" with a structured code
 // (BADCMD, ARG, LOAD, NODESIGN, NOTFOUND, UNSUPPORTED, BUSY, DEADLINE,
-// DEGRADED, SHUTDOWN, INJECTED, NOTOWNED, SHARD_DOWN, INTERNAL);
+// DEGRADED, SHUTDOWN, INJECTED, UNAVAILABLE, INTERNAL);
 // err_code() extracts the code so clients classify by token instead of
 // ad-hoc prefix matching.
 //
 // Doubles are printed with "%.17g" so a response round-trips the exact
 // bits of the engine's answer — the property the cross-engine
-// verification in qwm_load, the boundary-arrival exchange between
-// shards, and the service stress test rely on.
+// verification in qwm_load and the service stress test rely on.
 #pragma once
 
 #include <string>
@@ -56,36 +45,21 @@ enum class Verb {
   kUpdate,
   kStats,
   kHealth,
-  kBoundary,
-  kSetArr,
   kShutdown,
 };
-inline constexpr int kVerbCount = 12;
+inline constexpr int kVerbCount = 10;
 
 /// Lower-case wire name of a verb ("arrival", "critpath", ...).
 const char* verb_name(Verb v);
 
-/// One edge's injected arrival inside a SETARR request.
-struct ArrivalField {
-  bool valid = false;
-  double time = 0.0;
-  double slew = 0.0;
-  bool degraded = false;
-};
-
 struct Request {
   Verb verb = Verb::kStats;
   std::string path;    ///< LOAD
-  std::string net;     ///< ARRIVAL / CORNERS / SLACK / SETARR / CRITPATH opt.
+  std::string net;     ///< ARRIVAL / CORNERS / SLACK
   double period = 0.0; ///< SLACK [s]; CORNERS optional (0 = arrivals only)
   int stage = -1;      ///< RESIZE
   int edge = -1;       ///< RESIZE
   double width = 0.0;  ///< RESIZE [m]
-  /// CRITPATH endpoint edge: 'R', 'F', or 0 (pick the worse edge).
-  char path_edge = 0;
-  // SETARR operands.
-  ArrivalField rise;
-  ArrivalField fall;
 };
 
 /// Outcome of parsing one request line.
@@ -117,24 +91,20 @@ bool is_err(const std::string& response, const std::string& code = "");
 
 /// Code token of an "ERR <CODE> ..." response; "" when the response is
 /// not an error (or carries no code). The structured-classification
-/// helper shared by qwm_load and the shard router — replaces per-client
-/// prefix matching.
+/// helper shared by qwm_load and the replica router — replaces
+/// per-client prefix matching.
 std::string err_code(const std::string& response);
 
 /// True for error codes that are transient by contract — load shedding
 /// (BUSY), queue-wait expiry (DEADLINE), degraded service (DEGRADED),
-/// and a shard mid-failover (SHARD_DOWN) — the set a client may retry
-/// with backoff; everything else is a definitive answer.
+/// and a fleet with no replica answering (UNAVAILABLE) — the set a
+/// client may retry with backoff; everything else is a definitive
+/// answer.
 bool retryable_code(const std::string& code);
 
-/// Re-tags an OK response as "OK DEGRADED" (idempotent; errors pass
-/// through unchanged) — how the router marks an answer served around a
-/// dead shard.
-std::string degrade_response(const std::string& response);
-
 /// Returns `response` with the `key=value` token replaced (or appended
-/// when absent). The router uses this to stamp fleet-epoch and shard
-/// provenance onto shard replies without reprinting any double field.
+/// when absent). The router uses this to stamp the fleet epoch onto
+/// replica replies without reprinting any double field.
 std::string with_field(const std::string& response, const std::string& key,
                        const std::string& value);
 

@@ -39,7 +39,7 @@ Router::~Router() { request_shutdown(); }
 
 std::string Router::handle_line(const std::string& line) {
   const std::string resp = fleet_->handle_line(line);
-  // The fleet already broadcast SHUTDOWN to its shards; this router's
+  // The fleet already broadcast SHUTDOWN to its replicas; this router's
   // own transport stops after the reply is delivered.
   if (first_word_lower(line) == "shutdown") transport_.request_shutdown();
   return resp;

@@ -31,7 +31,7 @@ class Router {
   ~Router();
 
   /// One request line -> one reply line ("" for blank/comment lines).
-  /// SHUTDOWN stops the fleet's shards, then this router's transport.
+  /// SHUTDOWN stops the fleet's replicas, then this router's transport.
   std::string handle_line(const std::string& line);
 
   int serve_stream(std::istream& in, std::ostream& out);

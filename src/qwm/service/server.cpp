@@ -19,13 +19,6 @@ double ms_between(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-/// Appends one boundary/arrival edge as the compact colon format used in
-/// BOUNDARY entries: v:time:slew:degraded.
-void append_edge(std::ostringstream& os, const sta::Arrival& a) {
-  os << (a.valid() ? 1 : 0) << ":" << format_double(a.time) << ":"
-     << format_double(a.slew) << ":" << (a.degraded ? 1 : 0);
-}
-
 }  // namespace
 
 Server::Server(ServerOptions opt)
@@ -36,7 +29,7 @@ Server::Server(ServerOptions opt)
   transport_.set_handler([this](const std::string& line) {
     return handle_line(line);
   });
-  // HEALTH bypasses the admission queue: a saturated shard must still
+  // HEALTH bypasses the admission queue: a saturated replica must still
   // prove liveness so the router can tell "slow" from "dead".
   transport_.set_fast_handler([this](const std::string& line,
                                      std::string* response) {
@@ -77,8 +70,7 @@ std::string Server::health_line() {
   os << "health=1 loaded=" << (loaded_mirror_.load(std::memory_order_relaxed)
                                    ? 1
                                    : 0)
-     << " epoch=" << epoch_mirror_.load(std::memory_order_relaxed)
-     << " shard=" << db_.shard_index() << " shards=" << db_.shard_count();
+     << " epoch=" << epoch_mirror_.load(std::memory_order_relaxed);
   return ok_line(os.str());
 }
 
@@ -125,12 +117,6 @@ std::string Server::handle_line(const std::string& line) {
          << " stages=" << reply.stages << " nets=" << reply.nets
          << " evals=" << reply.evals << " warnings=" << reply.warnings.size()
          << " worst=" << format_double(reply.worst);
-      if (reply.shards > 1) {
-        os << " shard=" << reply.shard << " shards=" << reply.shards
-           << " total_stages=" << reply.total_stages
-           << " boundary_in=" << reply.boundary_in
-           << " boundary_out=" << reply.boundary_out;
-      }
       resp = ok_line(os.str());
       break;
     }
@@ -195,9 +181,7 @@ std::string Server::handle_line(const std::string& line) {
       break;
     }
     case Verb::kCritPath: {
-      const CritPathReply reply =
-          r.net.empty() ? db_.critical_path()
-                        : db_.critical_path(r.net, r.path_edge);
+      const CritPathReply reply = db_.critical_path();
       if (!reply.status.ok) {
         resp = err_line(reply.status.code, reply.status.message);
         break;
@@ -246,8 +230,6 @@ std::string Server::handle_line(const std::string& line) {
       const TransportStats ts = transport_.stats();
       os << "epoch=" << db.epoch << " session=" << db.session
          << " loaded=" << (db.loaded ? 1 : 0) << " stages=" << db.stages
-         << " shard=" << db.shard << " shards=" << db.shards
-         << " boundary_out=" << db.boundary_out
          << " requests=" << total << " malformed=" << sv.malformed
          << " busy=" << sv.busy_rejections
          << " deadline=" << sv.deadline_expirations
@@ -296,47 +278,6 @@ std::string Server::handle_line(const std::string& line) {
       // Normally intercepted by the transport fast path; answered here
       // too so direct handle_line() callers get the same reply.
       resp = health_line();
-      break;
-    }
-    case Verb::kBoundary: {
-      const BoundaryReply reply = db_.boundary();
-      if (!reply.status.ok) {
-        resp = err_line(reply.status.code, reply.status.message);
-        break;
-      }
-      os << "epoch=" << reply.epoch << " count=" << reply.entries.size()
-         << " nets=";
-      for (std::size_t i = 0; i < reply.entries.size(); ++i) {
-        const auto& e = reply.entries[i];
-        if (i) os << ";";
-        os << e.net << ":";
-        append_edge(os, e.timing.rise);
-        os << ":";
-        append_edge(os, e.timing.fall);
-      }
-      resp = ok_line(os.str());
-      break;
-    }
-    case Verb::kSetArr: {
-      sta::NetTiming t;
-      if (r.rise.valid) {
-        t.rise.time = r.rise.time;
-        t.rise.slew = r.rise.slew;
-        t.rise.degraded = r.rise.degraded;
-      }
-      if (r.fall.valid) {
-        t.fall.time = r.fall.time;
-        t.fall.slew = r.fall.slew;
-        t.fall.degraded = r.fall.degraded;
-      }
-      const MutateReply reply = db_.set_arrival(r.net, t);
-      if (!reply.status.ok) {
-        resp = err_line(reply.status.code, reply.status.message);
-        break;
-      }
-      refresh_mirrors(reply.epoch, true);
-      os << "epoch=" << reply.epoch << " net=" << r.net << " staged=1";
-      resp = ok_line(os.str());
       break;
     }
     case Verb::kShutdown: {

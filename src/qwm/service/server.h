@@ -6,9 +6,9 @@
 // parse a request line, execute it against the db, format the one-line
 // reply, and keep per-verb request/error/latency counters.
 //
-// Queries run under the DesignDb's shared lock; RESIZE/UPDATE/LOAD/
-// SETARR transactions serialize on its exclusive lock and bump the
-// epoch (see design_db.h). HEALTH is answered on the transport's fast
+// Queries run under the DesignDb's shared lock; RESIZE/UPDATE/LOAD
+// transactions serialize on its exclusive lock and bump the epoch (see
+// design_db.h). HEALTH is answered on the transport's fast
 // path from lock-free mirrors — a saturated or write-locked server
 // still proves liveness, which is how the fleet's health tracker tells
 // "slow" from "dead".

@@ -1,4 +1,4 @@
-// Shard endpoints — how the fleet layer talks to one serving process.
+// Replica endpoints — how the fleet layer talks to one serving process.
 //
 // ShardEndpoint is the one-line-in / one-line-out contract with a hard
 // per-call deadline. TcpEndpoint speaks it over a persistent loopback
@@ -55,7 +55,7 @@ class TcpEndpoint : public ShardEndpoint {
 
 /// In-process endpoint over any line handler. The handler returning ""
 /// is reported as a transport failure (a real handler always answers
-/// non-ignorable lines), which lets tests simulate a dead shard.
+/// non-ignorable lines), which lets tests simulate a dead replica.
 class CallbackEndpoint : public ShardEndpoint {
  public:
   using Handler = std::function<std::string(const std::string& line)>;

@@ -276,6 +276,7 @@ void LineTransport::serve() {
     std::lock_guard lock(conns_mu_);
     conns_.clear();
   }
+  std::lock_guard lock(listen_mu_);
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -311,6 +312,7 @@ void LineTransport::request_shutdown() {
   queue_cv_.notify_all();
   // Unblock accept(); connection fds are shut down by serve() after the
   // workers have drained every pending response.
+  std::lock_guard lock(listen_mu_);
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
 }
 

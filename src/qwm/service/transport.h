@@ -1,6 +1,6 @@
 // LineTransport — the newline-protocol transport engine, carved out of
-// Server so every daemon of the serving fleet (qwm_serve shards and the
-// qwm_router front end) shares one transport implementation.
+// Server so every daemon of the serving fleet (qwm_serve replicas and
+// the qwm_router front end) shares one transport implementation.
 //
 // Two transports over one machinery:
 //
@@ -16,15 +16,16 @@
 // and a request that waited past deadline_ms is answered "ERR DEADLINE"
 // without reaching the handler. The optional *fast handler* runs on the
 // reader thread before admission: HEALTH is answered there, so liveness
-// probing keeps working when the queue is saturated — a saturated shard
-// is slow, not dead, and the router must be able to tell the difference.
+// probing keeps working when the queue is saturated — a saturated
+// replica is slow, not dead, and the router must be able to tell the
+// difference.
 //
 // Fault injection: the per-instance FaultHook arms the process-level
 // fleet sites on the reply path — kDropConnection severs the connection
 // instead of replying, kStallReply withholds the reply for magnitude ms
 // (past any client deadline), kCorruptReply tears the reply line. Each
-// shard of an in-process test fleet carries its own hook, so a test can
-// sabotage exactly one shard deterministically.
+// replica of an in-process test fleet carries its own hook, so a test
+// can sabotage exactly one replica deterministically.
 #pragma once
 
 #include <atomic>
@@ -152,6 +153,9 @@ class LineTransport {
   TransportStats stats_;
 
   // TCP state.
+  /// Guards listen_fd_ between serve()'s final close and a concurrent
+  /// request_shutdown() from another thread.
+  std::mutex listen_mu_;
   int listen_fd_ = -1;
   int port_ = 0;
   std::string listen_error_;

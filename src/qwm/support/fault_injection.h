@@ -4,15 +4,15 @@
 // (Newton stall, singular tridiagonal pivot, Sherman-Morrison denominator
 // blow-up, workspace grow, malformed protocol frame, slow/failed request,
 // and the process-level fleet sites: dropped connection, stalled reply,
-// corrupted reply line, refused shard restart). The plan is armed
+// corrupted reply line, refused replica restart). The plan is armed
 // process-wide through an atomic pointer; the hot-path check
 // `fire_fault()` is a single relaxed load plus null test when no plan is
 // armed, so the hooks are compiled in always at zero steady-state cost.
 //
-// For multi-instance setups (a sharded serving fleet whose shards may
-// live in one test process), a FaultHook gives each instance its *own*
-// plan and counters, so a test can sabotage shard k's transport without
-// touching its siblings; qwm_serve's --fault-spec flag parses a plan
+// For multi-instance setups (a replicated serving fleet whose replicas
+// may live in one test process), a FaultHook gives each instance its
+// *own* plan and counters, so a test can sabotage replica k's transport
+// without touching its siblings; qwm_serve's --fault-spec flag parses a plan
 // from a command-line spec (see parse_fault_plan) to arm per-process
 // faults across a real fleet.
 //
@@ -134,7 +134,7 @@ void reset_fault_counters();
 /// Example: "drop_connection:start=5:count=1,stall_reply:magnitude=50".
 /// Returns false and fills `error` on a malformed spec. Used by
 /// qwm_serve --fault-spec so a CI script can arm deterministic faults in
-/// one specific shard process of a fleet.
+/// one specific replica process of a fleet.
 bool parse_fault_plan(const std::string& spec, FaultPlan* plan,
                       std::string* error);
 
@@ -143,7 +143,7 @@ bool fault_site_from_name(const std::string& name, FaultSite* site);
 
 /// Instance-scoped fault evaluation: a FaultHook owns its plan and its
 /// occurrence/fired counters, independent of the process-global plan, so
-/// each shard server of an in-process fleet can be sabotaged
+/// each replica server of an in-process fleet can be sabotaged
 /// individually and deterministically. fire() is thread-safe; set_plan()
 /// must not race with fire() (configure before serving).
 class FaultHook {

@@ -1,18 +1,13 @@
-// Shared bounded-retry policy with jittered exponential backoff.
-//
-// Promoted out of qwm_load so every client of the service layer — the
-// load generator, the shard router's per-request calls, and the fleet
-// supervisor's restart loop — retries transient failures the same way:
-// attempt k sleeps backoff_ms * 2^min(k, max_exponent) * [0.5, 1.5),
-// with the jitter drawn from a caller-owned splitmix64 stream so
-// concurrent retriers decorrelate instead of re-stampeding the target,
-// and so a seeded test reproduces the exact sleep schedule.
+// Bounded-retry policy with jittered exponential backoff, as the
+// qwm_load client retries transient error codes: attempt k sleeps
+// backoff_ms * 2^min(k, max_exponent) * [0.5, 1.5), with the jitter
+// drawn from a caller-owned splitmix64 stream so concurrent retriers
+// decorrelate instead of re-stampeding the target, and so a seeded run
+// reproduces the exact sleep schedule.
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
-#include <thread>
 
 namespace qwm::support {
 
@@ -44,25 +39,6 @@ inline double retry_backoff_ms(const RetryPolicy& p, int attempt,
   const double scale = static_cast<double>(
       1ull << static_cast<unsigned>(std::min(attempt, p.max_exponent)));
   return p.backoff_ms * scale * jitter;
-}
-
-/// Runs `try_fn` until it yields a result `retryable` rejects or the
-/// retry budget is exhausted, sleeping the jittered backoff between
-/// attempts. `retry_count`, when non-null, accumulates the retries
-/// actually performed (the observability counter qwm_load reports).
-template <typename TryFn, typename RetryableFn>
-auto retry_with_backoff(const RetryPolicy& p, std::uint64_t* rng,
-                        std::uint64_t* retry_count, TryFn&& try_fn,
-                        RetryableFn&& retryable) -> decltype(try_fn()) {
-  auto result = try_fn();
-  for (int attempt = 0; attempt < p.retries; ++attempt) {
-    if (!retryable(result)) return result;
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-        retry_backoff_ms(p, attempt, rng)));
-    if (retry_count != nullptr) ++*retry_count;
-    result = try_fn();
-  }
-  return result;
 }
 
 }  // namespace qwm::support

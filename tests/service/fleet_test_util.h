@@ -1,7 +1,7 @@
-// Shared scaffolding for the fleet tests: an in-process sharded fleet
-// over CallbackEndpoints (no sockets), with per-shard kill switches and
-// a gated restart hook, so failover sequences run deterministically
-// inside one test binary.
+// Shared scaffolding for the fleet tests: an in-process replicated fleet
+// over CallbackEndpoints (no sockets), with per-replica kill and
+// torn-reply switches and a gated restart hook, so failover sequences run
+// deterministically inside one test binary.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -47,7 +47,7 @@ inline std::string write_fleet_deck(const std::string& name,
   return path;
 }
 
-/// N in-process shard Servers + one full-design replica behind a Fleet.
+/// R in-process full-design replica Servers behind a Fleet.
 struct TestFleet {
   std::vector<std::unique_ptr<Server>> servers;
   std::vector<std::shared_ptr<std::atomic<bool>>> dead;
@@ -57,46 +57,36 @@ struct TestFleet {
   std::vector<std::shared_ptr<std::atomic<bool>>> torn;
   std::atomic<bool> allow_restart{true};
   std::atomic<int> restarts_built{0};
-  std::unique_ptr<Server> replica;
   std::unique_ptr<Fleet> fleet;
 
-  /// `use_cache = false` makes every stage evaluation a pure function of
-  /// its inputs: required when asserting bit-identity against a
-  /// single-process reference, because the memo cache's bucketed reuse
-  /// depends on evaluation history, which sharding changes. Failover
-  /// reconvergence (fleet vs itself) holds with the cache on — re-warm
-  /// replays the same history.
-  explicit TestFleet(int n, FleetOptions fopt = tight_health(),
+  /// `use_cache = false` when a test compares against a cache-off
+  /// single-server reference: the memo cache's bucketed reuse makes an
+  /// answer depend on what the process evaluated before, so only a
+  /// cache-off engine is a history-free reference. Replicas compared
+  /// with each other keep the cache on — they all replay one history.
+  explicit TestFleet(int r, FleetOptions fopt = tight_health(),
                      bool use_cache = true)
       : use_cache_(use_cache) {
-    std::vector<std::unique_ptr<ShardEndpoint>> shard_eps, replica_eps;
-    for (int k = 0; k < n; ++k) {
-      servers.push_back(std::make_unique<Server>(shard_options(k, n)));
+    std::vector<std::unique_ptr<ShardEndpoint>> eps;
+    for (int k = 0; k < r; ++k) {
+      servers.push_back(std::make_unique<Server>(replica_options()));
       dead.push_back(std::make_shared<std::atomic<bool>>(false));
       torn.push_back(std::make_shared<std::atomic<bool>>(false));
-      shard_eps.push_back(std::make_unique<CallbackEndpoint>(endpoint_fn(k)));
+      eps.push_back(std::make_unique<CallbackEndpoint>(endpoint_fn(k)));
     }
-    ServerOptions ropt;
-    ropt.db.sta.threads = 1;
-    ropt.db.sta.use_cache = use_cache_;
-    replica = std::make_unique<Server>(ropt);
-    replica_eps.push_back(std::make_unique<CallbackEndpoint>(
-        [this](const std::string& line) { return replica->handle_line(line); }));
-    fleet = std::make_unique<Fleet>(fopt, std::move(shard_eps),
-                                    std::move(replica_eps));
-    fleet->set_restart_fn(
-        [this, n](int k) -> std::unique_ptr<ShardEndpoint> {
-          if (!allow_restart.load(std::memory_order_acquire)) return nullptr;
-          servers[static_cast<std::size_t>(k)] =
-              std::make_unique<Server>(shard_options(k, n));
-          dead[static_cast<std::size_t>(k)]->store(false);
-          torn[static_cast<std::size_t>(k)]->store(false);
-          ++restarts_built;
-          return std::make_unique<CallbackEndpoint>(endpoint_fn(k));
-        });
+    fleet = std::make_unique<Fleet>(fopt, std::move(eps));
+    fleet->set_restart_fn([this](int k) -> std::unique_ptr<ShardEndpoint> {
+      if (!allow_restart.load(std::memory_order_acquire)) return nullptr;
+      servers[static_cast<std::size_t>(k)] =
+          std::make_unique<Server>(replica_options());
+      dead[static_cast<std::size_t>(k)]->store(false);
+      torn[static_cast<std::size_t>(k)]->store(false);
+      ++restarts_built;
+      return std::make_unique<CallbackEndpoint>(endpoint_fn(k));
+    });
   }
 
-  /// One probe failure marks a shard down — in-process endpoints never
+  /// One failure marks a replica down — in-process endpoints never
   /// blip, so the tight ladder keeps the tests single-pass.
   static FleetOptions tight_health() {
     FleetOptions fopt;
@@ -105,12 +95,10 @@ struct TestFleet {
     return fopt;
   }
 
-  ServerOptions shard_options(int k, int n) const {
+  ServerOptions replica_options() const {
     ServerOptions opt;
     opt.db.sta.threads = 1;
     opt.db.sta.use_cache = use_cache_;
-    opt.db.shard_index = k;
-    opt.db.shard_count = n;
     return opt;
   }
 
@@ -129,6 +117,13 @@ struct TestFleet {
   }
 
   std::string ask(const std::string& line) { return fleet->handle_line(line); }
+  /// Asks `line` once per replica, so round-robin sends it to each live
+  /// one; returns the replies in order.
+  std::vector<std::string> ask_each(const std::string& line) {
+    std::vector<std::string> out;
+    for (std::size_t k = 0; k < servers.size(); ++k) out.push_back(ask(line));
+    return out;
+  }
   void kill(int k) { dead[static_cast<std::size_t>(k)]->store(true); }
 };
 

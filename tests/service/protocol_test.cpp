@@ -55,6 +55,10 @@ TEST(Protocol, UnknownVerbIsBadcmd) {
   const auto p = parse_request("FROBNICATE x");
   EXPECT_FALSE(p.ok);
   EXPECT_EQ(p.code, "BADCMD");
+  // The level-sharding verbs are gone from the protocol.
+  EXPECT_EQ(parse_request("BOUNDARY").code, "BADCMD");
+  EXPECT_EQ(parse_request("SETARR out 1 0 1e-11 0 1 0 1e-11 0").code,
+            "BADCMD");
 }
 
 TEST(Protocol, OperandErrorsAreArg) {
@@ -64,6 +68,7 @@ TEST(Protocol, OperandErrorsAreArg) {
   EXPECT_EQ(parse_request("SLACK out").code, "ARG");
   EXPECT_EQ(parse_request("RESIZE 0 1").code, "ARG");
   EXPECT_EQ(parse_request("UPDATE now").code, "ARG");
+  EXPECT_EQ(parse_request("CRITPATH out R").code, "ARG");
   // Malformed numbers.
   EXPECT_EQ(parse_request("SLACK out banana").code, "ARG");
   EXPECT_EQ(parse_request("RESIZE zero 1 2u").code, "ARG");
@@ -88,6 +93,9 @@ TEST(Protocol, ResponseLinesAndClassifiers) {
   EXPECT_TRUE(is_err("ERR BUSY queue full", "BUSY"));
   EXPECT_FALSE(is_err("ERR BUSY queue full", "ARG"));
   EXPECT_FALSE(is_err("OK epoch=1"));
+  EXPECT_TRUE(retryable_code("UNAVAILABLE"));
+  EXPECT_TRUE(retryable_code("BUSY"));
+  EXPECT_FALSE(retryable_code("ARG"));
 }
 
 TEST(Protocol, ErrLineFoldsNewlines) {

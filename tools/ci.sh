@@ -87,13 +87,12 @@ wait "$serve_pid" || { echo "qwm_serve exited non-zero"; exit 1; }
 grep -q "clean shutdown" "$smoke_dir/serve.log" || { echo "qwm_serve: no clean shutdown"; exit 1; }
 echo "service smoke passed"
 
-echo "== sharded service smoke (qwm_router: degrade + reconverge) =="
-# A 12-stage chain so every shard of a 3-way level-major split owns a
-# real cone; qwm_load --verify --no-cache re-times every answered net in
-# a single-process engine, so "mismatches: 0" is the bit-exactness gate
-# for the scatter-gather data plane.
+echo "== replicated service smoke (qwm_router: failover + reconverge) =="
+# A 12-stage chain served by 3 full-design replicas; qwm_load --verify
+# --no-cache re-times every answered net in a single-process engine, so
+# "mismatches: 0" is the bit-exactness gate for the routed answers.
 {
-  echo "ci sharded smoke chain"
+  echo "ci replicated smoke chain"
   echo "vdd vdd 0 3.3"
   echo "vin in 0 0"
   prev=in
@@ -105,51 +104,54 @@ echo "== sharded service smoke (qwm_router: degrade + reconverge) =="
   done
   echo "cl out 0 20f"
   echo ".end"
-} > "$smoke_dir/shard_chain.sp"
+} > "$smoke_dir/fleet_chain.sp"
 json_field() {  # json_field <file> <key> -> value (integers only)
   python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))[sys.argv[2]])' "$1" "$2"
 }
 
-# Phase A: restarts disabled -- killing a shard must degrade its cone
-# (OK DEGRADED from the replica), never produce hard errors.
-./build/tools/qwm_router --shards 3 --port 0 --port-file "$smoke_dir/router_a.port" \
-    --run-dir "$smoke_dir/run_a" --deck "$smoke_dir/shard_chain.sp" \
+# Phase A: restarts disabled -- killing a replica must not cost a single
+# answer: no OK DEGRADED tags, no hard errors, and every answer still
+# bit-identical to the engine.
+./build/tools/qwm_router --replicas 3 --port 0 --port-file "$smoke_dir/router_a.port" \
+    --run-dir "$smoke_dir/run_a" --deck "$smoke_dir/fleet_chain.sp" \
     --no-restart --supervise-ms 100 --suspect-after 1 --down-after 1 \
     2> "$smoke_dir/router_a.log" &
 router_a=$!
 for _ in $(seq 100); do [[ -s "$smoke_dir/router_a.port" ]] && break; sleep 0.1; done
 [[ -s "$smoke_dir/router_a.port" ]] || { echo "qwm_router (A) did not write its port"; exit 1; }
 ./build/tools/qwm_load --port "$(cat "$smoke_dir/router_a.port")" \
-    --deck "$smoke_dir/shard_chain.sp" --no-load --clients 2 --requests 40 \
-    --retries 2 --verify --no-cache --json > "$smoke_dir/shard_base.json"
-[[ $(json_field "$smoke_dir/shard_base.json" mismatches) == 0 ]] \
-    || { echo "sharded smoke: baseline fleet answers diverge from the engine"; exit 1; }
-kill -9 "$(cat "$smoke_dir/run_a/shard1.pid")"
+    --deck "$smoke_dir/fleet_chain.sp" --no-load --clients 2 --requests 40 \
+    --retries 2 --verify --no-cache --json > "$smoke_dir/fleet_base.json"
+[[ $(json_field "$smoke_dir/fleet_base.json" mismatches) == 0 ]] \
+    || { echo "replicated smoke: baseline fleet answers diverge from the engine"; exit 1; }
+kill -9 "$(cat "$smoke_dir/run_a/replica1.pid")"
 sleep 0.5  # let a supervisor probe pass see the corpse
 ./build/tools/qwm_load --port "$(cat "$smoke_dir/router_a.port")" \
-    --deck "$smoke_dir/shard_chain.sp" --no-load --clients 2 --requests 40 \
-    --retries 2 --json > "$smoke_dir/shard_kill.json"
-[[ $(json_field "$smoke_dir/shard_kill.json" degraded_ok) -gt 0 ]] \
-    || { echo "sharded smoke: no degraded answers after killing shard 1"; exit 1; }
-[[ $(json_field "$smoke_dir/shard_kill.json" hard_err) == 0 ]] \
-    || { echo "sharded smoke: hard errors during degraded operation"; exit 1; }
+    --deck "$smoke_dir/fleet_chain.sp" --no-load --clients 2 --requests 40 \
+    --retries 2 --verify --no-cache --json > "$smoke_dir/fleet_kill.json"
+[[ $(json_field "$smoke_dir/fleet_kill.json" degraded_ok) == 0 ]] \
+    || { echo "replicated smoke: degraded answers after killing replica 1"; exit 1; }
+[[ $(json_field "$smoke_dir/fleet_kill.json" hard_err) == 0 ]] \
+    || { echo "replicated smoke: hard errors during the outage"; exit 1; }
+[[ $(json_field "$smoke_dir/fleet_kill.json" mismatches) == 0 ]] \
+    || { echo "replicated smoke: outage answers diverge from the engine"; exit 1; }
 ./build/tools/qwm_load --port "$(cat "$smoke_dir/router_a.port")" \
-    --deck "$smoke_dir/shard_chain.sp" --no-load --requests 1 --shutdown \
+    --deck "$smoke_dir/fleet_chain.sp" --no-load --requests 1 --shutdown \
     --json > /dev/null
 wait "$router_a" || { echo "qwm_router (A) exited non-zero"; exit 1; }
 
-# Phase B: supervision on -- the restarted shard re-warms from the
-# mutation log and the fleet reconverges bit-identically.
-./build/tools/qwm_router --shards 3 --port 0 --port-file "$smoke_dir/router_b.port" \
-    --run-dir "$smoke_dir/run_b" --deck "$smoke_dir/shard_chain.sp" \
+# Phase B: supervision on -- the restarted replica re-warms from LOAD +
+# the mutation log and the fleet reconverges bit-identically.
+./build/tools/qwm_router --replicas 3 --port 0 --port-file "$smoke_dir/router_b.port" \
+    --run-dir "$smoke_dir/run_b" --deck "$smoke_dir/fleet_chain.sp" \
     --supervise-ms 100 --suspect-after 1 --down-after 1 \
     2> "$smoke_dir/router_b.log" &
 router_b=$!
 for _ in $(seq 100); do [[ -s "$smoke_dir/router_b.port" ]] && break; sleep 0.1; done
 [[ -s "$smoke_dir/router_b.port" ]] || { echo "qwm_router (B) did not write its port"; exit 1; }
-kill -9 "$(cat "$smoke_dir/run_b/shard2.pid")"
+kill -9 "$(cat "$smoke_dir/run_b/replica1.pid")"
 python3 - "$smoke_dir/router_b.port" <<'EOF' \
-    || { echo "sharded smoke: fleet did not reconverge to healthy"; exit 1; }
+    || { echo "replicated smoke: fleet did not reconverge to healthy"; exit 1; }
 import socket, sys, time
 port = int(open(sys.argv[1]).read())
 deadline = time.time() + 20
@@ -164,16 +166,30 @@ while time.time() < deadline:
 sys.exit(1)
 EOF
 ./build/tools/qwm_load --port "$(cat "$smoke_dir/router_b.port")" \
-    --deck "$smoke_dir/shard_chain.sp" --no-load --clients 2 --requests 40 \
-    --retries 2 --verify --no-cache --shutdown --json > "$smoke_dir/shard_heal.json"
-[[ $(json_field "$smoke_dir/shard_heal.json" mismatches) == 0 ]] \
-    || { echo "sharded smoke: post-restart answers diverge from the engine"; exit 1; }
-[[ $(json_field "$smoke_dir/shard_heal.json" degraded_ok) == 0 ]] \
-    || { echo "sharded smoke: degraded answers after reconvergence"; exit 1; }
+    --deck "$smoke_dir/fleet_chain.sp" --no-load --clients 2 --requests 40 \
+    --retries 2 --verify --no-cache --shutdown --json > "$smoke_dir/fleet_heal.json"
+[[ $(json_field "$smoke_dir/fleet_heal.json" mismatches) == 0 ]] \
+    || { echo "replicated smoke: post-restart answers diverge from the engine"; exit 1; }
+[[ $(json_field "$smoke_dir/fleet_heal.json" degraded_ok) == 0 ]] \
+    || { echo "replicated smoke: degraded answers after the restart"; exit 1; }
 wait "$router_b" || { echo "qwm_router (B) exited non-zero"; exit 1; }
 grep -q "clean shutdown" "$smoke_dir/router_b.log" \
     || { echo "qwm_router (B): no clean shutdown"; exit 1; }
-echo "sharded service smoke passed"
+
+# Early exit: a router whose preload fails must not leave a replica
+# behind.
+if ./build/tools/qwm_router --replicas 2 --run-dir "$smoke_dir/run_c" \
+    --deck "$smoke_dir/no_such_deck.sp" 2> "$smoke_dir/router_c.log"; then
+  echo "replicated smoke: qwm_router accepted a missing deck"; exit 1
+fi
+ls "$smoke_dir"/run_c/*.pid > /dev/null \
+    || { echo "replicated smoke: no replica pid files in run_c"; exit 1; }
+for pid_file in "$smoke_dir"/run_c/*.pid; do
+  if kill -0 "$(cat "$pid_file")" 2> /dev/null; then
+    echo "replicated smoke: replica $(cat "$pid_file") outlived its router"; exit 1
+  fi
+done
+echo "replicated service smoke passed"
 
 echo "== perf smoke (work-counter budget) =="
 # Counters (Newton iterations, device evaluations, workspace growth) are

@@ -12,14 +12,14 @@
 //                    response to be bit-identical to the local answer
 //   --no-cache       run the --verify reference engine with the
 //                    stage-eval memo cache off — required when verifying
-//                    against a sharded qwm_router fleet, whose shards run
-//                    cache-off so answers are slice-invariant
+//                    against a qwm_router fleet, whose replicas run
+//                    cache-off
 //   --no-load        skip sending LOAD (daemon already has the deck)
 //   --shutdown       send SHUTDOWN when done
 //   --seed S         workload RNG seed                    (default 1)
 //   --retries N      bounded retries on transient error codes (the
 //                    protocol's retryable set: BUSY, DEADLINE, DEGRADED,
-//                    SHARD_DOWN) with jittered exponential backoff from
+//                    UNAVAILABLE) with jittered exponential backoff from
 //                    support/retry.h                      (default 0)
 //   --backoff-ms X   base backoff; attempt k sleeps
 //                    X * 2^k * [0.5, 1.5) ms              (default 5)
@@ -178,7 +178,7 @@ struct Expected {
 struct ReaderResult {
   std::vector<double> latencies_us;
   std::uint64_t sent = 0, ok = 0, busy = 0, deadline = 0, hard_err = 0;
-  std::uint64_t shard_down = 0;    ///< ERR SHARD_DOWN left after retries
+  std::uint64_t unavailable = 0;   ///< ERR UNAVAILABLE left after retries
   std::uint64_t degraded_ok = 0;   ///< "OK DEGRADED" answers accepted
   std::uint64_t degraded_err = 0;  ///< ERR DEGRADED left after retries
   std::uint64_t retries = 0;       ///< backoff retries performed
@@ -192,8 +192,7 @@ struct ReaderResult {
 
 /// Round trip with bounded retries and jittered exponential backoff from
 /// support/retry.h; retryability comes from the protocol's shared
-/// err_code() classifier (BUSY / DEADLINE / DEGRADED / SHARD_DOWN), the
-/// same set the router retries internally.
+/// err_code() classifier (BUSY / DEADLINE / DEGRADED / UNAVAILABLE).
 std::string round_trip_retry(Client* c, const std::string& req,
                              const support::RetryPolicy& policy,
                              std::uint64_t* rng, ReaderResult* r) {
@@ -419,7 +418,7 @@ int main(int argc, char** argv) {
           if (code == "BUSY") ++r.busy;
           else if (code == "DEADLINE") ++r.deadline;
           else if (code == "DEGRADED") ++r.degraded_err;
-          else if (code == "SHARD_DOWN") ++r.shard_down;
+          else if (code == "UNAVAILABLE") ++r.unavailable;
           else ++r.hard_err;
         }
 
@@ -510,7 +509,7 @@ int main(int argc, char** argv) {
     total.busy += r.busy;
     total.deadline += r.deadline;
     total.hard_err += r.hard_err;
-    total.shard_down += r.shard_down;
+    total.unavailable += r.unavailable;
     total.degraded_ok += r.degraded_ok;
     total.degraded_err += r.degraded_err;
     total.retries += r.retries;
@@ -547,10 +546,10 @@ int main(int argc, char** argv) {
                 (unsigned long long)total.degraded_ok);
     std::printf(
         "  \"busy\": %llu, \"deadline\": %llu, \"degraded_err\": %llu, "
-        "\"shard_down\": %llu, \"hard_err\": %llu,\n",
+        "\"unavailable\": %llu, \"hard_err\": %llu,\n",
         (unsigned long long)total.busy, (unsigned long long)total.deadline,
         (unsigned long long)total.degraded_err,
-        (unsigned long long)total.shard_down,
+        (unsigned long long)total.unavailable,
         (unsigned long long)total.hard_err);
     std::printf("  \"retries\": %llu, \"retries_by_code\": {%s},\n",
                 (unsigned long long)total.retries, codes.c_str());
@@ -577,12 +576,12 @@ int main(int argc, char** argv) {
                 (unsigned long long)total.deadline,
                 (unsigned long long)total.hard_err);
     if (retry_policy.retries > 0 || total.degraded_ok > 0 ||
-        total.degraded_err > 0 || total.shard_down > 0) {
+        total.degraded_err > 0 || total.unavailable > 0) {
       std::printf(
-          "  degraded_ok=%llu degraded_err=%llu shard_down=%llu retries=%llu",
+          "  degraded_ok=%llu degraded_err=%llu unavailable=%llu retries=%llu",
           (unsigned long long)total.degraded_ok,
           (unsigned long long)total.degraded_err,
-          (unsigned long long)total.shard_down,
+          (unsigned long long)total.unavailable,
           (unsigned long long)total.retries);
       for (const auto& [code, n] : total.retries_by_code)
         std::printf(" retry_%s=%llu", code.c_str(), (unsigned long long)n);

@@ -1,20 +1,18 @@
-// qwm_router — fault-tolerant front end for a sharded qwm_serve fleet.
+// qwm_router — fault-tolerant front end for a replicated qwm_serve fleet.
 //
-//   qwm_router --shards N [--replicas R] [--stdio | --port P] [options]
+//   qwm_router --replicas R [--stdio | --port P] [options]
 //
-// The router fork/execs N qwm_serve shard processes (--shard k/N) plus R
-// full-design replicas on ephemeral loopback ports, then serves the
-// standard newline protocol itself: LOAD fans out and runs the
-// boundary-arrival exchange, reads route to the owning shard (hedged
-// against a replica when slow, failed over with OK DEGRADED when the
-// owner is down), SLACK/CORNERS route to replicas, RESIZE/UPDATE are
-// consistent-or-refused under the fleet epoch. A supervisor thread
-// HEALTH-probes every shard each --supervise-ms, degrades the cones of
-// dead shards, and restarts + re-warms them (LOAD replay + mutation log
-// + boundary resync) back to bit-identical service.
+// The router fork/execs R full-design qwm_serve replicas on ephemeral
+// loopback ports, then serves the standard newline protocol itself:
+// reads go round-robin to the next live replica (hedged to the next one
+// when slow, failed over when a replica does not answer), and LOAD /
+// RESIZE / UPDATE fan out to every live replica under the fleet epoch
+// and are appended to the mutation log. A supervisor thread
+// HEALTH-probes every replica each --supervise-ms and restarts +
+// re-warms dead ones (LOAD + the whole mutation log) back to
+// bit-identical service.
 //
-//   --shards N            shard process count (required, >= 1)
-//   --replicas R          full-design read replicas          (default 1)
+//   --replicas R          replica process count (required, >= 1)
 //   --stdio               serve one session on stdin/stdout (default)
 //   --port P              serve TCP on 127.0.0.1:P (0 = ephemeral)
 //   --port-file <path>    write the router's bound port to <path>
@@ -25,19 +23,18 @@
 //   --threads N           router worker lanes                (default 4)
 //   --queue N             router admission queue             (default 64)
 //   --deadline-ms X       router queue-wait deadline         (default off)
-//   --call-timeout-ms X   per-shard-call deadline            (default 5000)
-//   --hedge-ms X          hedge reads to a replica after X ms (default off)
-//   --retries N           per-call retry budget              (default 2)
-//   --backoff-ms X        retry backoff base                 (default 5)
+//   --call-timeout-ms X   per-replica-call deadline          (default 5000)
+//   --hedge-ms X          hedge reads to the next replica after X ms
+//                                                            (default off)
 //   --probe-timeout-ms X  HEALTH probe deadline              (default 250)
 //   --suspect-after N     consecutive failures -> suspect    (default 1)
 //   --down-after N        consecutive failures -> down       (default 2)
 //   --supervise-ms X      supervisor pass period, 0 = off    (default 500)
-//   --no-restart          never restart dead shards (degrade only)
-//   --shard-fault K SPEC  pass --fault-spec SPEC to shard K at spawn
+//   --no-restart          never restart dead replicas
+//   --replica-fault K SPEC  pass --fault-spec SPEC to replica K at spawn
 //   --fault-spec SPEC     arm a plan in the router itself (e.g.
 //                         refuse_restart:count=1)
-//   --shard-threads N     worker lanes per child process     (default 2)
+//   --replica-threads N   worker lanes per child process     (default 2)
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -49,9 +46,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -65,51 +64,45 @@ using namespace qwm;
 
 int usage() {
   std::fprintf(stderr,
-               "usage: qwm_router --shards N [--replicas R] [--stdio | "
-               "--port P] [--port-file path]\n"
+               "usage: qwm_router --replicas R [--stdio | --port P] "
+               "[--port-file path]\n"
                "                  [--run-dir dir] [--serve-bin path] [--deck "
                "path] [--threads N]\n"
                "                  [--queue N] [--deadline-ms X] "
                "[--call-timeout-ms X] [--hedge-ms X]\n"
-               "                  [--retries N] [--backoff-ms X] "
-               "[--probe-timeout-ms X]\n"
-               "                  [--suspect-after N] [--down-after N] "
-               "[--supervise-ms X]\n"
-               "                  [--no-restart] [--shard-fault K SPEC] "
-               "[--fault-spec SPEC]\n");
+               "                  [--probe-timeout-ms X] [--suspect-after N] "
+               "[--down-after N]\n"
+               "                  [--supervise-ms X] [--no-restart] "
+               "[--replica-fault K SPEC]\n"
+               "                  [--fault-spec SPEC] [--replica-threads N]\n");
   return 2;
 }
 
 struct SpawnConfig {
   std::string serve_bin;
   std::string run_dir;
-  int shard_count = 1;
-  int shard_threads = 2;
-  std::vector<std::string> shard_fault;  ///< per shard, "" = none
+  int replica_threads = 2;
+  std::vector<std::string> replica_fault;  ///< per replica, "" = none
 };
 
-/// Children of this router, indexed shard 0..N-1 then replicas.
+/// One child of this router; pid -1 once reaped (or never spawned).
 struct Child {
   pid_t pid = -1;
   int port = 0;
 };
 
-/// Fork/execs one qwm_serve child ("--shard k/N" when shard >= 0, a
-/// full-design replica otherwise) on an ephemeral port and waits for its
+/// Fork/execs replica `replica` on an ephemeral port and waits for its
 /// port file. Returns pid -1 on failure.
-Child spawn_child(const SpawnConfig& cfg, int shard, int replica) {
+Child spawn_child(const SpawnConfig& cfg, int replica) {
   Child child;
-  const std::string tag =
-      shard >= 0 ? "shard" + std::to_string(shard)
-                 : "replica" + std::to_string(replica);
+  const std::string tag = "replica" + std::to_string(replica);
   const std::string port_file = cfg.run_dir + "/" + tag + ".port";
   std::remove(port_file.c_str());
 
-  // Every child runs with the stage-eval memo cache off: the cache's
-  // bucketed reuse depends on per-process evaluation history, which
-  // sharding changes, and the fleet's contract is that answers are
-  // bit-identical regardless of shard count (and match a cache-off
-  // single process / `qwm_load --verify --no-cache` reference).
+  // Every child runs with the stage-eval memo cache off, so its answers
+  // match the cache-off reference engine of `qwm_load --verify
+  // --no-cache`: with the cache on, slew-bucketed reuse moves arrivals
+  // slightly away from the cache-off values.
   std::vector<std::string> args = {cfg.serve_bin,
                                    "--port",
                                    "0",
@@ -117,15 +110,11 @@ Child spawn_child(const SpawnConfig& cfg, int shard, int replica) {
                                    port_file,
                                    "--no-cache",
                                    "--threads",
-                                   std::to_string(cfg.shard_threads)};
-  if (shard >= 0) {
-    args.push_back("--shard");
-    args.push_back(std::to_string(shard) + "/" +
-                   std::to_string(cfg.shard_count));
-    if (!cfg.shard_fault[static_cast<std::size_t>(shard)].empty()) {
-      args.push_back("--fault-spec");
-      args.push_back(cfg.shard_fault[static_cast<std::size_t>(shard)]);
-    }
+                                   std::to_string(cfg.replica_threads)};
+  const std::string& fault = cfg.replica_fault[static_cast<std::size_t>(replica)];
+  if (!fault.empty()) {
+    args.push_back("--fault-spec");
+    args.push_back(fault);
   }
 
   const pid_t pid = ::fork();
@@ -161,6 +150,46 @@ Child spawn_child(const SpawnConfig& cfg, int shard, int replica) {
   return child;
 }
 
+/// Reaps the children that have exited; true while any is still alive.
+bool reap_exited(std::vector<Child>* children) {
+  bool alive = false;
+  for (Child& c : *children) {
+    if (c.pid > 0 && ::waitpid(c.pid, nullptr, WNOHANG) == c.pid) c.pid = -1;
+    alive = alive || c.pid > 0;
+  }
+  return alive;
+}
+
+/// The one cleanup every exit after the first spawn runs through: gives
+/// the children `grace` to exit on their own (after a SHUTDOWN
+/// broadcast), then SIGKILLs and reaps whatever is left, so no replica
+/// outlives its router. Only one thread touches the children at a time:
+/// main until the supervisor starts, the supervisor while it runs, and
+/// main again once it has been joined.
+class ChildReaper {
+ public:
+  explicit ChildReaper(std::vector<Child>* children) : children_(children) {}
+  ~ChildReaper() { reap(std::chrono::milliseconds(0)); }
+  ChildReaper(const ChildReaper&) = delete;
+  ChildReaper& operator=(const ChildReaper&) = delete;
+
+  void reap(std::chrono::milliseconds grace) {
+    const auto deadline = std::chrono::steady_clock::now() + grace;
+    while (reap_exited(children_) &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    for (Child& c : *children_) {
+      if (c.pid <= 0) continue;
+      ::kill(c.pid, SIGKILL);
+      ::waitpid(c.pid, nullptr, 0);
+      c.pid = -1;
+    }
+  }
+
+ private:
+  std::vector<Child>* children_;
+};
+
 qwm::support::FaultPlan& fault_plan() {
   static qwm::support::FaultPlan plan;
   return plan;
@@ -170,10 +199,9 @@ qwm::support::FaultPlan& fault_plan() {
 
 int main(int argc, char** argv) {
   service::FleetOptions fopt;
-  fopt.retry.retries = 2;
   service::RouterOptions ropt;
   SpawnConfig cfg;
-  int shards = 0, replicas = 1;
+  int replicas = 0;
   bool tcp = false, no_restart = false;
   int port = 0;
   double supervise_ms = 500.0;
@@ -187,12 +215,10 @@ int main(int argc, char** argv) {
     if (*i + 1 >= argc) std::exit(usage());
     *out = std::atof(argv[++*i]);
   };
-  std::vector<std::pair<int, std::string>> shard_faults;
+  std::vector<std::pair<int, std::string>> replica_faults;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--shards") {
-      int_arg(&i, &shards);
-    } else if (arg == "--replicas") {
+    if (arg == "--replicas") {
       int_arg(&i, &replicas);
     } else if (arg == "--stdio") {
       tcp = false;
@@ -217,10 +243,6 @@ int main(int argc, char** argv) {
       dbl_arg(&i, &fopt.call_timeout_ms);
     } else if (arg == "--hedge-ms" && i + 1 < argc) {
       dbl_arg(&i, &fopt.hedge_ms);
-    } else if (arg == "--retries") {
-      int_arg(&i, &fopt.retry.retries);
-    } else if (arg == "--backoff-ms" && i + 1 < argc) {
-      dbl_arg(&i, &fopt.retry.backoff_ms);
     } else if (arg == "--probe-timeout-ms" && i + 1 < argc) {
       dbl_arg(&i, &fopt.health.probe_timeout_ms);
     } else if (arg == "--suspect-after") {
@@ -231,32 +253,31 @@ int main(int argc, char** argv) {
       dbl_arg(&i, &supervise_ms);
     } else if (arg == "--no-restart") {
       no_restart = true;
-    } else if (arg == "--shard-fault" && i + 2 < argc) {
+    } else if (arg == "--replica-fault" && i + 2 < argc) {
       const int k = std::atoi(argv[++i]);
-      shard_faults.emplace_back(k, argv[++i]);
+      replica_faults.emplace_back(k, argv[++i]);
     } else if (arg == "--fault-spec" && i + 1 < argc) {
       std::string error;
       if (!support::parse_fault_plan(argv[++i], &fault_plan(), &error)) {
         std::fprintf(stderr, "bad --fault-spec: %s\n", error.c_str());
         return 2;
       }
-    } else if (arg == "--shard-threads") {
-      int_arg(&i, &cfg.shard_threads);
+    } else if (arg == "--replica-threads") {
+      int_arg(&i, &cfg.replica_threads);
     } else {
       return usage();
     }
   }
-  if (shards < 1 || replicas < 0) return usage();
+  if (replicas < 1) return usage();
   if (!fault_plan().empty()) support::arm_fault_plan(&fault_plan());
 
-  cfg.shard_count = shards;
-  cfg.shard_fault.assign(static_cast<std::size_t>(shards), "");
-  for (const auto& [k, spec] : shard_faults) {
-    if (k < 0 || k >= shards) {
-      std::fprintf(stderr, "--shard-fault index out of range: %d\n", k);
+  cfg.replica_fault.assign(static_cast<std::size_t>(replicas), "");
+  for (const auto& [k, spec] : replica_faults) {
+    if (k < 0 || k >= replicas) {
+      std::fprintf(stderr, "--replica-fault index out of range: %d\n", k);
       return 2;
     }
-    cfg.shard_fault[static_cast<std::size_t>(k)] = spec;
+    cfg.replica_fault[static_cast<std::size_t>(k)] = spec;
   }
   if (cfg.serve_bin.empty()) {
     // Default: qwm_serve next to this binary.
@@ -268,67 +289,55 @@ int main(int argc, char** argv) {
   }
   if (cfg.run_dir.empty())
     cfg.run_dir = "/tmp/qwm_router." + std::to_string(::getpid());
-  std::string mkdir_cmd = "mkdir -p '" + cfg.run_dir + "'";
-  if (std::system(mkdir_cmd.c_str()) != 0) {
-    std::fprintf(stderr, "cannot create run dir %s\n", cfg.run_dir.c_str());
+  std::error_code ec;
+  std::filesystem::create_directories(cfg.run_dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "cannot create run dir %s: %s\n", cfg.run_dir.c_str(),
+                 ec.message().c_str());
     return 1;
   }
 
-  // Spawn the fleet.
-  std::vector<Child> shard_children(static_cast<std::size_t>(shards));
-  std::vector<Child> replica_children(static_cast<std::size_t>(replicas));
-  std::vector<std::unique_ptr<service::ShardEndpoint>> shard_eps, replica_eps;
-  for (int s = 0; s < shards; ++s) {
-    shard_children[static_cast<std::size_t>(s)] = spawn_child(cfg, s, -1);
-    if (shard_children[static_cast<std::size_t>(s)].pid < 0) {
-      std::fprintf(stderr, "failed to spawn shard %d\n", s);
-      return 1;
-    }
-    shard_eps.push_back(std::make_unique<service::TcpEndpoint>(
-        shard_children[static_cast<std::size_t>(s)].port));
-    std::fprintf(stderr, "qwm_router: shard %d pid %d port %d\n", s,
-                 shard_children[static_cast<std::size_t>(s)].pid,
-                 shard_children[static_cast<std::size_t>(s)].port);
-  }
+  // Spawn the fleet. From here on every return runs the reaper.
+  std::vector<Child> children(static_cast<std::size_t>(replicas));
+  ChildReaper reaper(&children);
+  std::vector<std::unique_ptr<service::ShardEndpoint>> endpoints;
   for (int r = 0; r < replicas; ++r) {
-    replica_children[static_cast<std::size_t>(r)] = spawn_child(cfg, -1, r);
-    if (replica_children[static_cast<std::size_t>(r)].pid < 0) {
+    Child& c = children[static_cast<std::size_t>(r)];
+    c = spawn_child(cfg, r);
+    if (c.pid < 0) {
       std::fprintf(stderr, "failed to spawn replica %d\n", r);
       return 1;
     }
-    replica_eps.push_back(std::make_unique<service::TcpEndpoint>(
-        replica_children[static_cast<std::size_t>(r)].port));
-    std::fprintf(stderr, "qwm_router: replica %d pid %d port %d\n", r,
-                 replica_children[static_cast<std::size_t>(r)].pid,
-                 replica_children[static_cast<std::size_t>(r)].port);
+    endpoints.push_back(std::make_unique<service::TcpEndpoint>(c.port));
+    std::fprintf(stderr, "qwm_router: replica %d pid %d port %d\n", r, c.pid,
+                 c.port);
   }
 
-  service::Fleet fleet(fopt, std::move(shard_eps), std::move(replica_eps));
+  service::Fleet fleet(fopt, std::move(endpoints));
   if (!no_restart) {
     fleet.set_restart_fn(
-        [&cfg, &shard_children](int shard)
+        [&cfg, &children](int replica)
             -> std::unique_ptr<service::ShardEndpoint> {
           // The refuse-restart fault site models an orchestrator that
           // cannot bring the process back (quota, node loss) — the
-          // supervisor must keep degrading and retry later.
+          // supervisor keeps serving from the survivors and retries later.
           if (support::fire_fault(support::FaultSite::kRefuseRestart)) {
             std::fprintf(stderr,
-                         "qwm_router: restart of shard %d refused "
-                         "(injected)\n", shard);
+                         "qwm_router: restart of replica %d refused "
+                         "(injected)\n", replica);
             return nullptr;
           }
-          Child& old = shard_children[static_cast<std::size_t>(shard)];
+          Child& old = children[static_cast<std::size_t>(replica)];
           if (old.pid > 0) {
             ::kill(old.pid, SIGKILL);
             ::waitpid(old.pid, nullptr, 0);
           }
-          const Child fresh = spawn_child(cfg, shard, -1);
-          if (fresh.pid < 0) return nullptr;
-          old = fresh;
+          old = spawn_child(cfg, replica);
+          if (old.pid < 0) return nullptr;
           std::fprintf(stderr,
-                       "qwm_router: restarted shard %d pid %d port %d\n",
-                       shard, fresh.pid, fresh.port);
-          return std::make_unique<service::TcpEndpoint>(fresh.port);
+                       "qwm_router: restarted replica %d pid %d port %d\n",
+                       replica, old.pid, old.port);
+          return std::make_unique<service::TcpEndpoint>(old.port);
         });
   }
 
@@ -340,8 +349,8 @@ int main(int argc, char** argv) {
     if (!service::is_ok(resp)) return 1;
   }
 
-  // Supervisor: periodic probe + failover + restart passes, plus child
-  // zombie reaping (a crashed shard must not linger undead).
+  // Supervisor: periodic probe + restart passes, plus reaping children
+  // that died (a crashed replica must not linger undead).
   std::atomic<bool> stop_supervisor{false};
   std::thread supervisor;
   if (supervise_ms > 0.0) {
@@ -350,8 +359,7 @@ int main(int argc, char** argv) {
         std::this_thread::sleep_for(
             std::chrono::duration<double, std::milli>(supervise_ms));
         if (stop_supervisor.load(std::memory_order_acquire)) break;
-        while (::waitpid(-1, nullptr, WNOHANG) > 0) {
-        }
+        reap_exited(&children);
         fleet.supervise();
       }
     });
@@ -371,8 +379,8 @@ int main(int argc, char** argv) {
         pf << router.port() << "\n";
       }
       std::fprintf(stderr, "qwm_router: listening on 127.0.0.1:%d (%d "
-                           "shards, %d replicas)\n",
-                   router.port(), shards, replicas);
+                           "replicas)\n",
+                   router.port(), replicas);
       router.serve();
     }
   }
@@ -380,10 +388,7 @@ int main(int argc, char** argv) {
   stop_supervisor.store(true, std::memory_order_release);
   if (supervisor.joinable()) supervisor.join();
   fleet.broadcast_shutdown();
-  for (const auto& c : shard_children)
-    if (c.pid > 0) ::waitpid(c.pid, nullptr, 0);
-  for (const auto& c : replica_children)
-    if (c.pid > 0) ::waitpid(c.pid, nullptr, 0);
+  reaper.reap(std::chrono::seconds(5));
   std::fprintf(stderr, "qwm_router: clean shutdown\n");
   return rc;
 }
