@@ -498,7 +498,11 @@ bool parse_spice_number(const std::string& token, double* value) {
         return false;
     }
   }
-  *value = base * scale;
+  // strtod also accepts "nan", "inf" and overflowing exponents ("1e999");
+  // none of them is a usable width, period or element value.
+  const double v = base * scale;
+  if (!std::isfinite(v)) return false;
+  *value = v;
   return true;
 }
 

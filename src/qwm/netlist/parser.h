@@ -37,7 +37,8 @@ ParseResult parse_spice(const std::string& text);
 ParseResult parse_spice_file(const std::string& path);
 
 /// Parses one SPICE numeric token ("4.7k", "0.35u", "10meg", "1e-12").
-/// Returns false on malformed input.
+/// Returns false on malformed input and on a non-finite result ("nan",
+/// "inf", "1e999").
 bool parse_spice_number(const std::string& token, double* value);
 
 }  // namespace qwm::netlist

@@ -1,5 +1,7 @@
 #include "qwm/service/design_db.h"
 
+#include <cmath>
+
 #include "qwm/circuit/partition.h"
 #include "qwm/device/tabular_model.h"
 #include "qwm/frontend/elaborate.h"
@@ -225,8 +227,8 @@ SlackReply DesignDb::slack(const std::string& net, double period) const {
     return reply;
   }
   reply.epoch = epoch_;
-  if (period <= 0.0) {
-    reply.status = fail("ARG", "period must be positive");
+  if (!(period > 0.0) || !std::isfinite(period)) {
+    reply.status = fail("ARG", "period must be positive and finite");
     return reply;
   }
   const auto id = session_->nl.find_net(net);
@@ -239,7 +241,7 @@ SlackReply DesignDb::slack(const std::string& net, double period) const {
   // serializes the memo itself.
   std::lock_guard slack_lock(slack_mu_);
   if (slack_epoch_ != epoch_ || slack_period_ != period) {
-    slack_map_ = session_->engine->compute_slacks(period);
+    session_->engine->compute_slacks(period, &slack_table_);
     slack_epoch_ = epoch_;
     slack_period_ = period;
     ++slack_misses_;
@@ -247,8 +249,9 @@ SlackReply DesignDb::slack(const std::string& net, double period) const {
     ++slack_hits_;
     reply.cache_hit = true;
   }
-  const auto it = slack_map_.find(*id);
-  if (it != slack_map_.end()) reply.slack = it->second;
+  const auto& flat = slack_table_.slack;
+  const auto at = static_cast<std::size_t>(*id);
+  if (at < flat.size()) reply.slack = flat[at];
   const sta::NetTiming& t = session_->engine->timing(*id);
   reply.degraded = t.rise.degraded || t.fall.degraded;
   return reply;
@@ -300,8 +303,8 @@ MutateReply DesignDb::resize(int stage, int edge, double width) {
                                    " is a wire, not a transistor");
     return reply;
   }
-  if (width <= 0.0) {
-    reply.status = fail("ARG", "width must be positive");
+  if (!(width > 0.0) || !std::isfinite(width)) {
+    reply.status = fail("ARG", "width must be positive and finite");
     return reply;
   }
   session_->engine->resize_transistor(stage,

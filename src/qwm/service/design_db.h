@@ -27,7 +27,6 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "qwm/sta/sta.h"
@@ -161,7 +160,7 @@ class DesignDb {
   CritPathReply critical_path() const;
 
   /// Stages a transistor resize (validated: stage/edge in range, a real
-  /// transistor, positive width). Takes effect on timing at UPDATE.
+  /// transistor, positive finite width). Takes effect on timing at UPDATE.
   MutateReply resize(int stage, int edge, double width);
   /// Incremental re-analysis of the dirty cone.
   MutateReply update();
@@ -199,13 +198,14 @@ class DesignDb {
   std::uint64_t epoch_ = 0;       ///< bumped by every successful mutation
   std::uint64_t session_id_ = 0;  ///< bumped by every successful LOAD
 
-  // SLACK memo: compute_slacks() is design-wide, so one computation per
-  // (epoch, period) serves every per-net SLACK query at that epoch.
-  // Guarded by its own mutex, always acquired *after* the shared lock.
+  // SLACK memo: the slack walk is design-wide, so one walk per (epoch,
+  // period) serves every per-net SLACK query at that epoch; the table is
+  // reused, so a miss allocates nothing once it is warm. Guarded by its
+  // own mutex, always acquired *after* the shared lock.
   mutable std::mutex slack_mu_;
   mutable std::uint64_t slack_epoch_ = 0;
   mutable double slack_period_ = -1.0;
-  mutable std::unordered_map<netlist::NetId, sta::StaEngine::Slack> slack_map_;
+  mutable sta::StaEngine::SlackTable slack_table_;
   mutable std::uint64_t slack_hits_ = 0;
   mutable std::uint64_t slack_misses_ = 0;
 };

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <set>
 
 #include "qwm/circuit/stage_hash.h"
 #include "qwm/support/fault_injection.h"
@@ -32,7 +31,7 @@ bool ramp_clamped(double t50, double slew) {
 }
 
 // The miss path: one immutable invalid record shared by every engine.
-// Returning it (rather than inserting, or indexing blindly) keeps
+// Returning it (rather than growing the store, or indexing blindly) keeps
 // timing() const, allocation-free, and safe for unknown ids.
 const NetTiming kInvalidTiming{};
 
@@ -49,7 +48,6 @@ StaEngine::StaEngine(circuit::PartitionedDesign design,
       models_(std::move(models)),
       opt_(options),
       cache_(options.cache) {
-  timing_.resize(models_.count());
   qwm_stats_slot_.assign(models_.count(), core::QwmStats{});
   corner_warm_scale_.assign(models_.count(), 1.0);
   for (std::size_t s = 1; s < models_.corners.size(); ++s)
@@ -58,6 +56,9 @@ StaEngine::StaEngine(circuit::PartitionedDesign design,
   dirty_.assign(design_.stages.size(), 1);
   stage_keys_.assign(design_.stages.size(), std::nullopt);
   build_schedule();
+  // The flat store covers every net id the design names.
+  timing_.assign(models_.count(), std::vector<NetTiming>(endpoint_.size()));
+  written_.assign(endpoint_.size(), 0);
   // Default primary-input arrivals: t = 0 on both edges.
   for (netlist::NetId n : design_.primary_inputs)
     set_input_arrival(n, 0.0, 0.0);
@@ -65,6 +66,12 @@ StaEngine::StaEngine(circuit::PartitionedDesign design,
 
 void StaEngine::set_input_arrival(netlist::NetId net, double rise_time,
                                   double fall_time, double slew) {
+  if (net < 0) return;  // no such net: the miss path stays
+  const std::size_t id = static_cast<std::size_t>(net);
+  if (id >= written_.size()) {
+    for (auto& lane : timing_) lane.resize(id + 1);
+    written_.resize(id + 1, 0);
+  }
   const double s = slew > 0.0 ? slew : opt_.input_slew;
   NetTiming t;
   t.rise.time = rise_time;
@@ -73,14 +80,14 @@ void StaEngine::set_input_arrival(netlist::NetId net, double rise_time,
   t.fall.slew = s;
   // Primary inputs arrive at the same instant at every corner; corners
   // diverge only through stage delays.
-  for (auto& lane : timing_) lane[net] = t;
+  for (auto& lane : timing_) lane[id] = t;
+  written_[id] = 1;
 }
 
 const NetTiming& StaEngine::timing_in(std::size_t slot,
                                       netlist::NetId net) const {
-  const auto& lane = timing_[slot];
-  const auto it = lane.find(net);
-  return it == lane.end() ? kInvalidTiming : it->second;
+  if (!has_timing(net)) return kInvalidTiming;
+  return timing_[slot][static_cast<std::size_t>(net)];
 }
 
 const NetTiming& StaEngine::timing(netlist::NetId net) const {
@@ -95,7 +102,8 @@ const NetTiming& StaEngine::timing(netlist::NetId net,
 }
 
 bool StaEngine::has_timing(netlist::NetId net) const {
-  return timing_[0].find(net) != timing_[0].end();
+  return net >= 0 && static_cast<std::size_t>(net) < written_.size() &&
+         written_[static_cast<std::size_t>(net)] != 0;
 }
 
 const core::QwmStats& StaEngine::qwm_stats(device::Corner corner) const {
@@ -130,12 +138,16 @@ void StaEngine::build_schedule() {
   // Edges: stage A -> stage B when an output net of A is an input net of B.
   consumers_.assign(n, {});
   std::vector<int> indeg(n, 0);
+  std::vector<char> self_fed(n, 0);
   for (int b = 0; b < n; ++b) {
     for (netlist::NetId in : design_.stages[b].input_nets) {
       const auto it = design_.driver_of.find(in);
       if (it == design_.driver_of.end()) continue;
       const int a = it->second.first;
-      if (a == b) continue;
+      if (a == b) {
+        self_fed[b] = 1;
+        continue;
+      }
       consumers_[a].push_back(b);
       ++indeg[b];
     }
@@ -162,6 +174,35 @@ void StaEngine::build_schedule() {
   }
   cyclic_ = placed != static_cast<std::size_t>(n);  // cyclic stages absent
   sched_stats_.levels = levels_.size();
+
+  // Net-indexed structure for the scans and the slack walk.
+  netlist::NetId max_net = -1;
+  for (netlist::NetId pi : design_.primary_inputs)
+    max_net = std::max(max_net, pi);
+  output_nets_.clear();
+  for (const auto& info : design_.stages) {
+    for (netlist::NetId in : info.input_nets) max_net = std::max(max_net, in);
+    for (netlist::NetId out : info.output_nets) {
+      max_net = std::max(max_net, out);
+      output_nets_.push_back(out);
+    }
+  }
+  endpoint_.assign(static_cast<std::size_t>(max_net + 1), 0);
+  for (netlist::NetId out : output_nets_) endpoint_[out] = 1;
+  for (const auto& info : design_.stages)
+    for (netlist::NetId in : info.input_nets) endpoint_[in] = 0;
+  // Consumers sit in later levels, so walking the levels backwards
+  // settles a net's required time before the net propagates it. Inside a
+  // self-fed stage a chain of arcs passes each output edge at most once,
+  // so that many passes over its outputs settle it too.
+  slack_order_.clear();
+  for (auto lv = levels_.rbegin(); lv != levels_.rend(); ++lv)
+    for (int s : *lv) {
+      const auto& outs = design_.stages[s].output_nets;
+      const std::size_t passes = self_fed[s] ? 2 * outs.size() : 1;
+      for (std::size_t p = 0; p < passes; ++p)
+        slack_order_.insert(slack_order_.end(), outs.begin(), outs.end());
+    }
 }
 
 std::uint64_t StaEngine::stage_key(int stage_index) {
@@ -295,7 +336,9 @@ bool StaEngine::apply_record(int stage_index, const OutputRecord& rec) {
     // is itself built on fallback data.
     a.degraded = rec.value.degraded || rec.trigger.degraded;
   }
-  NetTiming& t = timing_[static_cast<std::size_t>(rec.corner_slot)][rec.net];
+  const std::size_t id = static_cast<std::size_t>(rec.net);
+  written_[id] = 1;
+  NetTiming& t = timing_[static_cast<std::size_t>(rec.corner_slot)][id];
   Arrival& slot = rec.rising ? t.rise : t.fall;
   if (a.valid() &&
       (!slot.valid() || std::abs(a.time - slot.time) > kTimeTol ||
@@ -545,88 +588,76 @@ std::size_t StaEngine::update() {
   return evals_ - before;
 }
 
-std::unordered_map<netlist::NetId, StaEngine::Slack> StaEngine::compute_slacks(
-    double period) const {
+void StaEngine::compute_slacks(double period, SlackTable* out) const {
   // Required times propagate backward along the recorded worst arcs (the
-  // from_net chain of each arrival): critical-cone slack. Endpoints are
-  // nets that feed no further stage.
-  std::set<netlist::NetId> consumed;
-  for (const auto& info : design_.stages)
-    for (netlist::NetId n : info.input_nets) consumed.insert(n);
-
-  struct Entry {
-    netlist::NetId net;
-    bool rising;
-    const Arrival* arr;
-  };
-  std::vector<Entry> entries;
-  // Slack analysis runs on the primary lane; multi-corner constraint
-  // checks go through setup_hold()'s min/max envelope instead.
-  for (const auto& [net, t] : timing_[0]) {
-    if (t.rise.valid()) entries.push_back({net, true, &t.rise});
-    if (t.fall.valid()) entries.push_back({net, false, &t.fall});
-  }
-  // Backward pass: visit later arrivals first so required times are final
-  // before they propagate upstream (from.arrival < net.arrival always).
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) {
-              return a.arr->time > b.arr->time;
-            });
-
+  // from_net chain of each arrival): critical-cone slack. Slack analysis
+  // runs on the primary lane; multi-corner constraint checks go through
+  // setup_hold()'s min/max envelope instead.
   const double kInf = std::numeric_limits<double>::infinity();
-  std::unordered_map<netlist::NetId, std::pair<double, double>> required;
-  const auto req_of = [&](netlist::NetId n) -> std::pair<double, double>& {
-    auto [it, inserted] = required.try_emplace(n, kInf, kInf);
-    (void)inserted;
-    return it->second;
-  };
-  for (const auto& e : entries) {
-    auto& r = req_of(e.net);
-    double& mine = e.rising ? r.first : r.second;
-    if (!consumed.count(e.net) && e.arr->from_stage >= 0)
-      mine = std::min(mine, period);  // an endpoint
-    if (e.arr->from_stage < 0 || e.arr->from_net < 0) continue;
-    if (mine == kInf) continue;  // not on any constrained cone
-    // Arc delay = this arrival minus the triggering (opposite-edge)
-    // arrival of the input net.
-    const NetTiming& ft = timing(e.arr->from_net);
-    const Arrival& fa = e.rising ? ft.fall : ft.rise;  // inverting stage
-    if (!fa.valid()) continue;
-    const double arc = e.arr->time - fa.time;
-    auto& fr = req_of(e.arr->from_net);
-    double& theirs = e.rising ? fr.second : fr.first;
-    theirs = std::min(theirs, mine - arc);
+  const std::vector<NetTiming>& lane = timing_[0];
+  const std::size_t n = lane.size();
+  out->req_rise.assign(n, kInf);
+  out->req_fall.assign(n, kInf);
+  for (const netlist::NetId net : slack_order_) {
+    const std::size_t id = static_cast<std::size_t>(net);
+    for (const bool rising : {true, false}) {
+      const Arrival& a = rising ? lane[id].rise : lane[id].fall;
+      if (!a.valid() || a.from_stage < 0) continue;
+      double& mine = (rising ? out->req_rise : out->req_fall)[id];
+      if (endpoint_[id]) mine = std::min(mine, period);
+      if (a.from_net < 0 || mine == kInf) continue;  // off constrained cones
+      // Arc delay = this arrival minus the triggering (opposite-edge)
+      // arrival of the input net.
+      const NetTiming& ft = timing(a.from_net);
+      const Arrival& fa = rising ? ft.fall : ft.rise;  // inverting stage
+      if (!fa.valid()) continue;
+      const double arc = a.time - fa.time;
+      double& theirs =
+          (rising ? out->req_fall
+                  : out->req_rise)[static_cast<std::size_t>(a.from_net)];
+      theirs = std::min(theirs, mine - arc);
+    }
   }
 
-  std::unordered_map<netlist::NetId, Slack> out;
-  for (const auto& [net, t] : timing_[0]) {
-    const auto it = required.find(net);
-    if (it == required.end()) continue;
+  out->slack.resize(n);
+  for (std::size_t id = 0; id < n; ++id) {
+    const NetTiming& t = lane[id];
+    const double rr = out->req_rise[id], rf = out->req_fall[id];
     Slack s;
-    if (t.rise.valid() && it->second.first < kInf) {
-      s.required = it->second.first;
-      s.slack = it->second.first - t.rise.time;
+    if (t.rise.valid() && rr < kInf) {
+      s.required = rr;
+      s.slack = rr - t.rise.time;
       s.valid = true;
     }
-    if (t.fall.valid() && it->second.second < kInf) {
-      const double sl = it->second.second - t.fall.time;
+    if (t.fall.valid() && rf < kInf) {
+      const double sl = rf - t.fall.time;
       if (!s.valid || sl < s.slack) {
-        s.required = it->second.second;
+        s.required = rf;
         s.slack = sl;
         s.valid = true;
       }
     }
-    if (s.valid) out[net] = s;
+    out->slack[id] = s;
   }
+}
+
+std::unordered_map<netlist::NetId, StaEngine::Slack> StaEngine::compute_slacks(
+    double period) const {
+  SlackTable table;
+  compute_slacks(period, &table);
+  std::unordered_map<netlist::NetId, Slack> out;
+  for (std::size_t id = 0; id < table.slack.size(); ++id)
+    if (table.slack[id].valid)
+      out.emplace(static_cast<netlist::NetId>(id), table.slack[id]);
   return out;
 }
 
 double StaEngine::worst_slack(double period) const {
+  SlackTable table;
+  compute_slacks(period, &table);
   double worst = std::numeric_limits<double>::infinity();
-  for (const auto& [net, s] : compute_slacks(period)) {
-    (void)net;
+  for (const Slack& s : table.slack)
     if (s.valid) worst = std::min(worst, s.slack);
-  }
   return worst;
 }
 
@@ -652,52 +683,48 @@ StaEngine::SetupHold StaEngine::setup_hold(netlist::NetId net, double period,
 
 double StaEngine::worst_setup_slack(double period) const {
   double worst = std::numeric_limits<double>::infinity();
-  for (const auto& info : design_.stages) {
-    for (netlist::NetId n : info.output_nets) {
-      const SetupHold sh = setup_hold(n, period);
-      if (sh.valid) worst = std::min(worst, sh.setup_slack);
-    }
+  for (netlist::NetId n : output_nets_) {
+    const SetupHold sh = setup_hold(n, period);
+    if (sh.valid) worst = std::min(worst, sh.setup_slack);
   }
   return worst;
 }
 
 double StaEngine::worst_hold_slack(double hold_time) const {
   double worst = std::numeric_limits<double>::infinity();
-  for (const auto& info : design_.stages) {
-    for (netlist::NetId n : info.output_nets) {
-      const SetupHold sh = setup_hold(n, 0.0, hold_time);
-      if (sh.valid) worst = std::min(worst, sh.hold_slack);
-    }
+  for (netlist::NetId n : output_nets_) {
+    const SetupHold sh = setup_hold(n, 0.0, hold_time);
+    if (sh.valid) worst = std::min(worst, sh.hold_slack);
   }
   return worst;
 }
 
+// The scans below index the primary lane directly: every stage output
+// lies inside the store, and an entry never written holds the invalid
+// NetTiming the miss path would return.
 double StaEngine::worst_arrival() const {
   double worst = 0.0;
-  for (const auto& info : design_.stages) {
-    for (netlist::NetId n : info.output_nets) {
-      const NetTiming& t = timing(n);
-      if (t.rise.valid()) worst = std::max(worst, t.rise.time);
-      if (t.fall.valid()) worst = std::max(worst, t.fall.time);
-    }
+  for (netlist::NetId n : output_nets_) {
+    const NetTiming& t = timing_[0][static_cast<std::size_t>(n)];
+    if (t.rise.valid()) worst = std::max(worst, t.rise.time);
+    if (t.fall.valid()) worst = std::max(worst, t.fall.time);
   }
   return worst;
 }
 
 ArcCounts StaEngine::arc_counts() const {
   ArcCounts c;
-  for (const auto& info : design_.stages)
-    for (netlist::NetId n : info.output_nets) {
-      const NetTiming& t = timing(n);
-      for (const Arrival* a : {&t.rise, &t.fall}) {
-        if (!a->valid()) {
-          ++c.failed;
-          continue;
-        }
-        ++c.valid;
-        if (a->degraded) ++c.degraded;
+  for (netlist::NetId n : output_nets_) {
+    const NetTiming& t = timing_[0][static_cast<std::size_t>(n)];
+    for (const Arrival* a : {&t.rise, &t.fall}) {
+      if (!a->valid()) {
+        ++c.failed;
+        continue;
       }
+      ++c.valid;
+      if (a->degraded) ++c.degraded;
     }
+  }
   return c;
 }
 
@@ -706,19 +733,17 @@ std::vector<CriticalPathStep> StaEngine::critical_path() const {
   netlist::NetId net = -1;
   bool rising = false;
   double worst = -1.0;
-  for (const auto& info : design_.stages) {
-    for (netlist::NetId n : info.output_nets) {
-      const NetTiming& t = timing(n);
-      if (t.rise.valid() && t.rise.time > worst) {
-        worst = t.rise.time;
-        net = n;
-        rising = true;
-      }
-      if (t.fall.valid() && t.fall.time > worst) {
-        worst = t.fall.time;
-        net = n;
-        rising = false;
-      }
+  for (netlist::NetId n : output_nets_) {
+    const NetTiming& t = timing_[0][static_cast<std::size_t>(n)];
+    if (t.rise.valid() && t.rise.time > worst) {
+      worst = t.rise.time;
+      net = n;
+      rising = true;
+    }
+    if (t.fall.valid() && t.fall.time > worst) {
+      worst = t.fall.time;
+      net = n;
+      rising = false;
     }
   }
   return critical_path(net, rising);

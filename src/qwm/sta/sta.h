@@ -12,8 +12,8 @@
 // whose predecessors live in earlier levels). Every stage of one level
 // is independent given the previous levels' arrivals, so a level is
 // evaluated across a worker pool, and the results are merged into the
-// timing map in ascending stage order — results are bit-identical to a
-// single-threaded run regardless of thread count.
+// net-indexed timing store in ascending stage order — results are
+// bit-identical to a single-threaded run regardless of thread count.
 //
 // Caching: stage evaluations are memoized in a StageEvalCache keyed by
 // the structural stage hash, the quantized input slew, and the quantized
@@ -150,7 +150,8 @@ class StaEngine {
             StaOptions options = {});
 
   /// Primary input arrivals default to t = 0 with the default slew; use
-  /// this to override before run().
+  /// this to override before run(). An id past the design's nets grows
+  /// the store; a negative id is ignored.
   void set_input_arrival(netlist::NetId net, double rise_time,
                          double fall_time, double slew = -1.0);
 
@@ -217,7 +218,20 @@ class StaEngine {
     double slack = 0.0;
     bool valid = false;
   };
-  /// Worst (rise/fall) slack per net for the given period.
+  /// Flat result of one required-time walk: slack[n] is net n's worst
+  /// (rise/fall) Slack, valid=false off every constrained cone. The
+  /// required-time arrays are the walk's scratch; reusing one table
+  /// keeps the walk allocation-free.
+  struct SlackTable {
+    std::vector<Slack> slack;
+    std::vector<double> req_rise, req_fall;
+  };
+  /// Fills `out` in one walk over the stage outputs in reverse
+  /// topological order: every consumer's required time is final before
+  /// the walk reaches the net it reads.
+  void compute_slacks(double period, SlackTable* out) const;
+  /// Worst (rise/fall) slack per net for the given period: the valid
+  /// entries of the flat walk.
   std::unordered_map<netlist::NetId, Slack> compute_slacks(
       double period) const;
   /// The design's worst slack (most negative first).
@@ -332,7 +346,7 @@ class StaEngine {
   /// record, its lane's workspace, the immutable design and the models).
   void evaluate_owner(int stage_index, OutputRecord* rec,
                       core::EvalWorkspace& ws) const;
-  /// Applies a record's result to the timing map; true if it changed.
+  /// Applies a record's result to the timing store; true if it changed.
   bool apply_record(int stage_index, const OutputRecord& rec);
   /// Full analysis under the dependency-counting schedule (sta_deps.cpp).
   /// Precondition: !cyclic_. Bit-identical to the level schedule.
@@ -348,9 +362,15 @@ class StaEngine {
   circuit::PartitionedDesign design_;
   device::CornerModelSet models_;
   StaOptions opt_;
-  /// One arrival map per active corner; slot 0 is the primary lane and
-  /// the surface every single-corner query reads.
-  std::vector<std::unordered_map<netlist::NetId, NetTiming>> timing_;
+  /// One arrival store per active corner, indexed by NetId; slot 0 is the
+  /// primary lane and the surface every single-corner query reads. Sized
+  /// at construction from the largest net id the design names and grown
+  /// only by set_input_arrival, so deps-mode merges write in place.
+  std::vector<std::vector<NetTiming>> timing_;
+  /// Per-net has_timing flag, shared by the lanes (a stage merge writes
+  /// every lane of its outputs). char, not bool: concurrent deps merges
+  /// set distinct nets' flags while classifications read others.
+  std::vector<char> written_;
   std::vector<char> dirty_;
   std::vector<std::string> warnings_;
   std::size_t evals_ = 0;
@@ -364,6 +384,15 @@ class StaEngine {
   std::vector<int> level_of_;
   /// Stage adjacency: consumers_[a] = stages reading an output net of a.
   std::vector<std::vector<int>> consumers_;
+  /// Stage-output nets in stage order: the scans' list.
+  std::vector<netlist::NetId> output_nets_;
+  /// Stage-output nets in reverse topological order: the slack walk's
+  /// list. A stage that reads its own output (keeper-style feedback) can
+  /// time one output edge from another, so it lists its outputs once per
+  /// output edge and the chain inside the stage settles too.
+  std::vector<netlist::NetId> slack_order_;
+  /// Per NetId: a stage output that no stage reads (a slack endpoint).
+  std::vector<char> endpoint_;
   bool cyclic_ = false;
   ScheduleStats sched_stats_;
 

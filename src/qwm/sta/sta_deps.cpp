@@ -21,7 +21,7 @@
 //    section. Contended shard/cache acquisitions during classification
 //    are counted (ScheduleStats::classify_lock_waits).
 //  * A short merge mutex serializes only the bookkeeping writes (timing
-//    map values, QwmStats accumulation, evals, dirty flags); the memo
+//    store entries, QwmStats accumulation, evals, dirty flags); the memo
 //    cache has its own mutex so classify-phase probes and merge-phase
 //    inserts never race.
 //
@@ -32,9 +32,9 @@
 //  (a) A stage is enqueued only after every predecessor fully retired
 //      (atomic release on its counter, then a push under a shard mutex
 //      the consumer also locks), so predecessor arrivals are frozen and
-//      visible. The timing maps are pre-populated with every output net
-//      before workers start, so concurrent merges never rehash the maps
-//      a classification is reading.
+//      visible. The timing store is a flat per-net array sized before the
+//      run, so a merge writes only its own stage's output entries in place
+//      and never moves storage a concurrent classification is reading.
 //  (b, c) Table entries and cache commits for my key — or any near key I
 //      probe — can only be produced by stages with my structural
 //      stage_key, and all such stages are serialized on the memo-twin
@@ -172,15 +172,6 @@ std::size_t StaEngine::run_deps() {
     }
   }
 
-  // Pre-populate every output net's timing entry (invalid arrivals) so
-  // the in-run merges only overwrite mapped values in place and never
-  // rehash a map a concurrent classification is reading. apply_record's
-  // operator[] inserts these exact entries anyway — even for skip
-  // records — so the post-run map contents are unchanged.
-  for (auto& lane : timing_)
-    for (const auto& info : design_.stages)
-      for (netlist::NetId net : info.output_nets) lane.try_emplace(net);
-
   const int lanes = std::max(1, std::min(thread_count(), n));
   if (static_cast<int>(lane_ws_.size()) < lanes)
     lane_ws_.resize(static_cast<std::size_t>(lanes));
@@ -188,7 +179,7 @@ std::size_t StaEngine::run_deps() {
   std::vector<LaneShard> queue(static_cast<std::size_t>(lanes));
   std::vector<ClaimShard> table(kClaimShards);
   const core::StageEvalKeyHash key_hash;
-  std::mutex merge_mu;  ///< timing values, stats, dirty flags, merged count
+  std::mutex merge_mu;  ///< timing entries, stats, dirty flags, merged count
   std::mutex cache_mu;  ///< classify peeks vs. merge inserts
   std::mutex idle_mu;   ///< sleep/wake only; never held while working
   std::condition_variable cv;

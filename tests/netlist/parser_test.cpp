@@ -28,6 +28,13 @@ TEST(SpiceNumber, Suffixes) {
   EXPECT_FALSE(parse_spice_number("1x", &v));
 }
 
+TEST(SpiceNumber, NonFiniteIsRejected) {
+  double v = 1.5;
+  for (const char* tok : {"nan", "inf", "-inf", "1e999", "infinity", "1e300t"})
+    EXPECT_FALSE(parse_spice_number(tok, &v)) << tok;
+  EXPECT_EQ(v, 1.5);  // a rejected token leaves the output alone
+}
+
 constexpr const char* kInverterDeck = R"(simple inverter
 vdd vdd 0 dc 3.3
 vin in 0 pulse(0 3.3 10p 1p 1p 500p 1n)

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 namespace qwm::service {
@@ -91,6 +92,8 @@ TEST(DesignDb, ResizeValidation) {
   EXPECT_EQ(db.resize(-1, 0, 1e-6).status.code, "ARG");
   EXPECT_EQ(db.resize(0, 999, 1e-6).status.code, "ARG");  // edge range
   EXPECT_EQ(db.resize(0, 0, -1e-6).status.code, "ARG");   // width sign
+  for (const double w : {std::nan(""), HUGE_VAL})
+    EXPECT_EQ(db.resize(0, 0, w).status.code, "ARG");      // non-finite
   // Failed mutations must not bump the epoch.
   EXPECT_EQ(db.epoch(), e0);
 }

@@ -74,6 +74,11 @@ TEST(Protocol, OperandErrorsAreArg) {
   EXPECT_EQ(parse_request("RESIZE zero 1 2u").code, "ARG");
   EXPECT_EQ(parse_request("RESIZE 0 one 2u").code, "ARG");
   EXPECT_EQ(parse_request("RESIZE 0 1 wide").code, "ARG");
+  // Non-finite numbers: a NaN width would wipe the design's timing at
+  // UPDATE, and a NaN period never matches the slack memo.
+  EXPECT_EQ(parse_request("RESIZE 0 0 nan").code, "ARG");
+  EXPECT_EQ(parse_request("SLACK x inf").code, "ARG");
+  EXPECT_EQ(parse_request("CORNERS x nan").code, "ARG");
 }
 
 TEST(Protocol, BlankAndCommentLinesAreIgnorable) {

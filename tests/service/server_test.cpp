@@ -213,7 +213,9 @@ TEST(Server, RequestsAfterShutdownAreRefused) {
   EXPECT_EQ(server.serve_stream(in, out), 0);
   // The session refuses immediately: either no response (reader saw the
   // stop flag first) or an explicit ERR SHUTDOWN.
-  if (!out.str().empty()) EXPECT_TRUE(is_err(out.str(), "SHUTDOWN"));
+  if (!out.str().empty()) {
+    EXPECT_TRUE(is_err(out.str(), "SHUTDOWN"));
+  }
 }
 
 }  // namespace

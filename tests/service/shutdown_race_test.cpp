@@ -139,7 +139,9 @@ TEST(ShutdownRace, InflightQueriesGetOneWellFormedLineEach) {
     ASSERT_TRUE(killer.connect_to(port));
     ASSERT_TRUE(killer.send_line("SHUTDOWN"));
     std::string line;
-    if (killer.recv_line(&line)) EXPECT_TRUE(is_ok(line)) << line;
+    if (killer.recv_line(&line)) {
+      EXPECT_TRUE(is_ok(line)) << line;
+    }
   }
   serve_thread.join();  // serve() must return after SHUTDOWN
   stop.store(true, std::memory_order_release);
