@@ -2,9 +2,11 @@
 // (10^4 and 10^5 stages) under both stage schedulers — the
 // level-synchronous barrier schedule and the dependency-counting
 // asynchronous schedule — with a bitwise arrival comparison between the
-// two on every run. Reports wall clock per schedule plus the scheduler
-// work counters (barrier syncs, tasks enqueued, ready-queue high-water
-// mark, memo-twin chain edges), the region solver's work (Newton
+// two on every run, and (--smoke) against a cache-off levels engine, so
+// the memo cache is checked end to end too. Reports wall clock per
+// schedule plus the scheduler work counters (barrier syncs, tasks
+// enqueued, ready-queue high-water mark, memo-twin chain edges), the
+// region solver's work (Newton
 // iterations, device evaluations, fallback rungs) and the arcs left
 // without an arrival, which are machine-deterministic and budget-pinned
 // for the CI perf smoke.
@@ -18,7 +20,8 @@
 //                    emitting one JSON row per point (wall, steal_count,
 //                    ready_hwm, classify_lock_waits) and checking every
 //                    point's arrivals bitwise against the first
-//   --smoke          run the 10^4-stage design only (CI-sized)
+//   --smoke          run the 10^4-stage design only (CI-sized), and
+//                    check it against a cache-off levels engine
 //   --counters-only  skip the timed medians; counters and the bitwise
 //                    equivalence check still run
 //   --budget FILE    compare the 10^4-stage scheduler, solver and arc
@@ -26,7 +29,8 @@
 //                    excess
 //
 // Exit status is non-zero if any design's arrivals differ between the
-// schedulers — the harness doubles as an end-to-end equivalence check.
+// schedulers or (--smoke) between cache on and off — the harness doubles
+// as an end-to-end equivalence check.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -167,6 +171,14 @@ ScaleResult run_size(std::size_t stages, const ScaleFlags& f) {
   r.deps_stats = deps.schedule_stats();
 
   r.identical = arrivals_identical(levels, deps);
+  if (f.smoke) {
+    opt.schedule = sta::Schedule::levels;
+    opt.use_cache = false;
+    sta::StaEngine uncached(elab.design, ms, opt);
+    uncached.run();
+    r.identical = r.identical && arrivals_identical(levels, uncached) &&
+                  arrivals_identical(deps, uncached);
+  }
   return r;
 }
 
@@ -246,7 +258,8 @@ int main(int argc, char** argv) {
     if (n == 10000) ten_k = r;
     if (!r.identical) {
       std::fprintf(stderr,
-                   "FAIL: schedulers disagree on the %zu-stage design\n", n);
+                   "FAIL: schedulers%s disagree on the %zu-stage design\n",
+                   f.smoke ? " or cache on/off" : "", n);
       rc = 1;
     }
     std::printf("%-9zu %9zu %10.3fs %10.3fs %9zu %9zu %9zu %11zu %5s\n",
@@ -299,7 +312,7 @@ int main(int argc, char** argv) {
         {"scale10k_failed_arcs", ten_k.levels_arcs.failed},
         // Scheduling-dependent (zero on single-lane hosts): budgeted as
         // generous upper bounds, not exact pins — an excess means the
-        // sharded queues or the claim table degenerated to a serial lock.
+        // sharded queues or the cache mutex degenerated to a serial lock.
         {"scale10k_steal_count", ten_k.deps_stats.steal_count},
         {"scale10k_classify_lock_waits", ten_k.deps_stats.classify_lock_waits},
     };

@@ -1,7 +1,6 @@
 #include "qwm/circuit/stage_hash.h"
 
 #include <bit>
-#include <cmath>
 
 namespace qwm::circuit {
 
@@ -54,15 +53,11 @@ std::uint64_t structural_hash(const LogicStage& stage) {
   return h;
 }
 
-std::uint64_t load_signature(const LogicStage& stage, double quantum) {
+std::uint64_t load_signature(const LogicStage& stage) {
   std::uint64_t h = 0xC10AD5ULL;
   for (std::size_t n = 0; n < stage.node_count(); ++n) {
     const double cap = stage.node(static_cast<NodeId>(n)).load_cap;
-    if (quantum > 0.0)
-      h = hash_combine(
-          h, static_cast<std::uint64_t>(std::llround(cap / quantum)));
-    else
-      h = hash_combine(h, double_bits(cap));
+    h = hash_combine(h, double_bits(cap));
   }
   return h;
 }

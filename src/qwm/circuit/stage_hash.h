@@ -13,10 +13,9 @@
 // collide. That is exactly what repeated netlist structures and the
 // programmatic builders produce, and it keeps hashing O(edges).
 //
-// Output load capacitances are hashed separately (load_signature) and
-// quantized, so the memo key can distinguish "same stage, same load
-// bucket" from "same stage, different load" without baking exact load
-// bits into the structural identity.
+// Node load capacitances are hashed separately (load_signature), bit
+// for bit, so the memo key tells "same stage, same loads" from "same
+// stage, different load" exactly.
 #pragma once
 
 #include <cstdint>
@@ -31,10 +30,10 @@ namespace qwm::circuit {
 /// capacitances.
 std::uint64_t structural_hash(const LogicStage& stage);
 
-/// Hash of the per-node external load capacitances, each quantized to
-/// `quantum` farads (quantum <= 0 hashes exact bit patterns). Combined
-/// with structural_hash this forms the stage part of a memo-cache key.
-std::uint64_t load_signature(const LogicStage& stage, double quantum);
+/// Hash of the bit patterns of the per-node external load capacitances.
+/// Combined with structural_hash this forms the stage part of a
+/// memo-cache key.
+std::uint64_t load_signature(const LogicStage& stage);
 
 /// Mixes two 64-bit hashes (splitmix64 finalizer over the combination).
 std::uint64_t hash_combine(std::uint64_t seed, std::uint64_t value);

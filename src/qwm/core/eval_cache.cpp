@@ -1,32 +1,19 @@
 #include "qwm/core/eval_cache.h"
 
-#include <cmath>
-
 #include "qwm/circuit/stage_hash.h"
 
 namespace qwm::core {
 
 std::size_t StageEvalKeyHash::operator()(const StageEvalKey& k) const {
   std::uint64_t h = k.stage;
-  h = circuit::hash_combine(h, static_cast<std::uint64_t>(k.slew_bucket));
-  h = circuit::hash_combine(h, static_cast<std::uint64_t>(k.time_bucket));
+  h = circuit::hash_combine(h, k.trigger_time);
+  h = circuit::hash_combine(h, k.trigger_slew);
   h = circuit::hash_combine(h, static_cast<std::uint64_t>(k.output_index));
   h = circuit::hash_combine(h,
                             static_cast<std::uint64_t>(k.switching_input));
-  h = circuit::hash_combine(
-      h, (static_cast<std::uint64_t>(k.corner) << 2) |
-             (k.rising ? 2ULL : 0ULL) | (k.clamped ? 1ULL : 0ULL));
+  h = circuit::hash_combine(h, (static_cast<std::uint64_t>(k.corner) << 1) |
+                                   (k.rising ? 1ULL : 0ULL));
   return static_cast<std::size_t>(h);
-}
-
-std::int64_t StageEvalCache::slew_bucket(double slew) const {
-  if (opt_.slew_quantum <= 0.0) return std::llround(slew * 1e15);
-  return std::llround(slew / opt_.slew_quantum);
-}
-
-std::int64_t StageEvalCache::time_bucket(double time) const {
-  if (opt_.time_quantum <= 0.0) return std::llround(time * 1e15);
-  return std::llround(time / opt_.time_quantum);
 }
 
 std::optional<CachedStageResult> StageEvalCache::peek(

@@ -1,67 +1,45 @@
 // Stage-evaluation memo cache for the STA engine.
 //
-// A QWM stage evaluation is a pure function of (stage structure, which
-// input switches, event direction, input ramp shape); its delay and
-// output slew are invariant under time translation of the trigger. The
-// cache therefore keys on the structural stage hash (plus the quantized
-// load signature), the switching input, the direction, and the quantized
-// input slew, and stores the *relative* delay/slew pair — electrically
-// identical stages (decoder rows, buffer chains) at any depth share one
+// A QWM stage evaluation is a pure function of the stage and the exact
+// stimulus that drives it: the stage's structure and loads, which input
+// switches, the event direction, the process corner, and the trigger
+// ramp (its 50% time and 10-90 slew). The cache keys exactly that — the
+// structural stage hash combined with the loads' bit patterns, and the
+// trigger's time and slew as bit patterns — so a hit returns the very
+// bits a re-evaluation would compute, and an analysis with the cache on
+// is bitwise equal to one with it off. Electrically identical stages
+// (decoder rows, buffer chains) driven by the same trigger share one
 // entry.
 //
-// Concurrency contract (the STA level scheduler's): lookups may run
-// concurrently from worker lanes against a frozen map; insert/evict are
-// called only from the single-threaded merge phase between levels. The
-// hit/miss counters are relaxed atomics so concurrent probing stays
-// TSan-clean.
-//
-// One non-translation-invariant corner is keyed explicitly: a trigger
-// whose ramp would start before t = 0 is clamped by the engine, changing
-// the waveform shape. Such evaluations carry `clamped = true` plus the
-// quantized trigger time in the key instead of polluting the shared
-// entries.
+// Concurrency: peek() is safe against other peeks; insert/erase/clear
+// need exclusive access (the level schedule's serial merge, or the deps
+// schedule's cache mutex). The hit/miss counters are relaxed atomics so
+// concurrent probing stays TSan-clean.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 
-#include "qwm/core/warm_trace.h"
 #include "qwm/support/counters.h"
 
 namespace qwm::core {
 
 struct EvalCacheOptions {
   std::size_t max_entries = 1u << 16;
-  /// Input-slew quantization bucket [s]. Slews within one bucket share a
-  /// cache entry; 0.1 ps keeps the induced delay deviation far below the
-  /// model's ~1% accuracy.
-  double slew_quantum = 1e-13;
-  /// Load-capacitance quantization for the stage load signature [F].
-  double load_quantum = 1e-17;
-  /// Trigger-time quantization for clamped-ramp keys [s].
-  double time_quantum = 1e-13;
-  /// Retain each owner's converged region trace alongside its entry so a
-  /// near-miss lookup (same stage, adjacent slew bucket) can warm-start
-  /// its Newton solves from it. Traces storing more than this many
-  /// doubles are dropped; 0 disables trace retention entirely.
-  std::size_t max_trace_values = 512;
 };
 
 struct StageEvalKey {
-  std::uint64_t stage = 0;        ///< structural hash + load signature
-  std::int64_t slew_bucket = 0;   ///< quantized trigger 10-90 slew
-  std::int64_t time_bucket = 0;   ///< quantized trigger time (clamped only)
+  std::uint64_t stage = 0;         ///< structural hash + exact load bits
+  std::uint64_t trigger_time = 0;  ///< bit pattern of the trigger's 50% time
+  std::uint64_t trigger_slew = 0;  ///< bit pattern of its 10-90 slew
   std::int32_t output_index = 0;
   std::int32_t switching_input = 0;
   /// Process corner the evaluation ran at (device::Corner value). A
   /// fast/slow query must never be served a memoized typical result —
-  /// the per-corner device models produce genuinely different delays —
-  /// so the corner is part of the identity, not a bucket.
+  /// the per-corner device models produce genuinely different delays.
   std::int8_t corner = 0;
-  bool rising = false;            ///< output event direction
-  bool clamped = false;           ///< trigger ramp clamped at t = 0
+  bool rising = false;  ///< output event direction
 
   bool operator==(const StageEvalKey&) const = default;
 };
@@ -74,17 +52,11 @@ struct StageEvalKeyHash {
 /// the resolved output slew. `ok = false` memoizes failed evaluations.
 struct CachedStageResult {
   bool ok = false;
-  /// Result came from the fallback ladder, not the nominal solve. Degraded
-  /// values are never inserted into the cache (the scheduler clears the
-  /// record's cacheable flag), but the flag still rides along so follower
-  /// records and arrivals inherit it.
+  /// Result came from the fallback ladder, not the nominal solve. The
+  /// engine erases such entries when the analysis that made them returns.
   bool degraded = false;
   double delay = 0.0;
   double slew = 0.0;
-  /// Converged region solutions (shared, immutable; null when trace
-  /// retention is off or the trace exceeded the size cap). Read-only
-  /// warm-start seed for near-miss evaluations.
-  std::shared_ptr<const WarmTrace> trace;
 };
 
 class StageEvalCache {
@@ -93,8 +65,8 @@ class StageEvalCache {
       : opt_(options) {}
 
   /// Pure probe: thread-safe against other probes (not against
-  /// insert/clear) and does not touch the statistics. The scheduler
-  /// classifies the outcome itself (a miss that duplicates an in-flight
+  /// insert/erase/clear) and does not touch the statistics. The scheduler
+  /// classifies the outcome itself (a record that duplicates an in-flight
   /// evaluation of the same key still counts as a hit) and records it
   /// through note_hit()/note_miss().
   std::optional<CachedStageResult> peek(const StageEvalKey& key) const;
@@ -102,21 +74,17 @@ class StageEvalCache {
   void note_hit() const { counters_.hit(); }
   void note_miss() const { counters_.miss(); }
 
-  /// Commit-phase only. Inserting an already-present key is a no-op (the
-  /// deterministic merge order decides who wins). Evicts a resident entry
+  /// Inserting an already-present key is a no-op. Evicts a resident entry
   /// first when at capacity.
   void insert(const StageEvalKey& key, const CachedStageResult& value);
+  /// Drops one entry, if present; statistics are untouched.
+  void erase(const StageEvalKey& key) { map_.erase(key); }
 
   std::size_t size() const { return map_.size(); }
   support::CacheStats stats() const { return counters_.snapshot(); }
   void reset_stats() { counters_.reset(); }
   /// Drops every entry; statistics are retained.
   void clear() { map_.clear(); }
-
-  const EvalCacheOptions& options() const { return opt_; }
-
-  std::int64_t slew_bucket(double slew) const;
-  std::int64_t time_bucket(double time) const;
 
  private:
   EvalCacheOptions opt_;

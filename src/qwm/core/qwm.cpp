@@ -87,11 +87,8 @@ class Engine {
   double batch_pm_ = 1.0;
   double batch_vdd_ = 0.0;
 
-  // Warm-start state: replay cursor into opt_.warm and the previous tail
-  // region's converged solution (stored in ws_.prev_tail).
+  // Warm-start state: replay cursor into opt_.warm.
   int trace_next_ = 0;
-  bool have_prev_tail_ = false;
-  int prev_tail_active_ = -1;
   /// Running region-length and alpha scales for cross-condition replay
   /// (negative = not yet primed). Both start from options.warm_scale — a
   /// first-order drive-ratio estimate (lengths scale by s, the ramp-rate
@@ -905,7 +902,6 @@ bool Engine::solve_region(int active, int boundary_elem, double v_target,
   record_region(tau_, dt, active, accel, slope);
 
   node_voltages(xv, ws_.vv);
-  ws_.prev_i_start.assign(i_.begin() + 1, i_.begin() + 1 + active);
   for (int k = 1; k <= active; ++k) {
     v_[k] = ws_.vv[k];
     i_[k] = quad ? i_[k] + xv[k - 1] * dt : xv[k - 1];
@@ -918,17 +914,6 @@ bool Engine::solve_region(int active, int boundary_elem, double v_target,
   // tolerance; a turn-on boundary activates a new element next, so the
   // incremental state is stale.
   i_fresh_active_ = boundary_elem < 0 ? active : -1;
-
-  // Warm-start bookkeeping: a committed tail region seeds the next one;
-  // a turn-on region changes the current pattern too much to reuse.
-  if (opt_.warm_intra && boundary_elem < 0) {
-    ws_.prev_tail.delta = dt;
-    ws_.prev_tail.alphas.assign(xv.begin(), xv.begin() + active);
-    have_prev_tail_ = true;
-    prev_tail_active_ = active;
-  } else {
-    have_prev_tail_ = false;
-  }
   note_commit(dt, xv, active, /*placeholder=*/false);
   return true;
 }
@@ -1183,7 +1168,6 @@ bool Engine::solve_region_cubic(int active, int boundary_elem,
   tau_ += dt;
   res_.critical_times.push_back(tau_);
   ++res_.stats.regions;
-  have_prev_tail_ = false;  // cubic parameters do not seed the r = 1 solver
   i_fresh_active_ = -1;
   note_commit(dt, xv, A, /*placeholder=*/true);
   return true;
@@ -1241,9 +1225,8 @@ bool Engine::solve_region_adaptive(int active, int boundary_elem,
   const bool use_cubic = opt_.model == RegionModel::cubic &&
                          boundary_elem < 0 && depth == 0;
 
-  // Warm-seed selection, in priority order: a replay trace entry for this
-  // commit index (memo-cache near miss), else the previous tail region's
-  // converged parameters. Either is used only when its shape matches.
+  // Warm seed: the replay trace's entry for this commit index, used only
+  // when its shape matches.
   const WarmTrace::Region* warm = nullptr;
   double warm_dt = 0.0;
   double warm_alpha_scale = 1.0;
@@ -1266,14 +1249,6 @@ bool Engine::solve_region_adaptive(int active, int boundary_elem,
           warm_alpha_scale = warm_alpha_run_;
         }
       }
-    }
-    if (warm == nullptr && opt_.warm_intra && boundary_elem < 0 &&
-        have_prev_tail_ && prev_tail_active_ == active) {
-      // Intra-path seed: the previous region's alphas with the *current*
-      // length estimate (the node has slowed since the previous region,
-      // so its old length underestimates this one).
-      warm = &ws_.prev_tail;
-      warm_dt = guess;
     }
   }
 
@@ -1445,7 +1420,6 @@ bool Engine::solve_region_bisect(int active, int boundary_elem,
   xv.assign(active + 1, 0.0);
   for (int k = 1; k <= active; ++k) xv[k - 1] = alphas[k];
   xv[active] = dt;
-  ws_.prev_i_start.assign(i_.begin() + 1, i_.begin() + 1 + active);
   for (int k = 1; k <= active; ++k) {
     v_[k] = vv[k];
     i_[k] += alphas[k] * dt;
@@ -1453,7 +1427,6 @@ bool Engine::solve_region_bisect(int active, int boundary_elem,
   tau_ += dt;
   res_.critical_times.push_back(tau_);
   ++res_.stats.regions;
-  have_prev_tail_ = false;  // degraded parameters never seed a warm start
   i_fresh_active_ = -1;
   note_commit(dt, xv, active, /*placeholder=*/true);
   return true;

@@ -81,19 +81,14 @@ struct QwmOptions {
   /// each region's solve is seeded with the previously converged
   /// parameters instead of the end-current probe. A same-input replay
   /// converges in zero iterations and reproduces the cold result
-  /// bit-for-bit; a near-miss replay (adjacent slew/load bucket) roughly
-  /// halves the Newton iteration and device-evaluation counts. A region
+  /// bit-for-bit; a replay from a nearby operating point (a slightly
+  /// different slew or load) roughly halves the Newton iteration and
+  /// device-evaluation counts. A region
   /// that fails from a warm seed is retried cold before being declared
   /// failed.
   bool warm_start = true;
-  /// Additionally seed each tail region from the *previous region's*
-  /// converged slopes within the same evaluation (no trace needed).
-  /// Ablation only, default off: on heterogeneous stacks the previous
-  /// region is a poor seed — most attempts fall back to the cold retry —
-  /// and converged results are not bit-stable against the cold path.
-  bool warm_intra = false;
   /// Record the converged per-region solutions into QwmResult::trace
-  /// (for memo-cache near-miss replay).
+  /// (the STA replays the typical corner's trace on its sibling corners).
   bool record_trace = false;
   /// Optional replay seed from a previous evaluation of a structurally
   /// identical problem at a nearby operating point. Not owned; must
@@ -104,7 +99,7 @@ struct QwmOptions {
   /// has the right waveform *shape* but systematically wrong region
   /// *durations*; seeding with the drive-strength ratio applied brings the
   /// Newton start point onto the new corner's time scale. 1.0 = replay
-  /// the recorded lengths verbatim (same-condition near-miss).
+  /// the recorded lengths verbatim (same-condition replay).
   double warm_scale = 1.0;
   /// Prints the per-iteration Newton trajectory to stderr (debugging).
   bool trace = false;

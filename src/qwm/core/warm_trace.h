@@ -1,8 +1,8 @@
 // Converged per-region Newton solutions of one QWM evaluation, recorded
 // so a later evaluation of a structurally identical problem at a nearby
-// operating point (the STA memo cache's "near miss": same stage hash,
-// adjacent slew/load bucket) can seed its region solves from them instead
-// of running the end-current probes.
+// operating point (the STA's sibling corners replay the typical corner's
+// trace) can seed its region solves from them instead of running the
+// end-current probes.
 //
 // A warm seed only changes the Newton iteration's starting point; the
 // converged solution is still pinned by the same residual and tolerance,
@@ -11,7 +11,6 @@
 // & memory discipline".
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace qwm::core {
@@ -25,13 +24,6 @@ struct WarmTrace {
   /// One entry per committed region solve, in commit order (turn-on wait
   /// regions commit without a solve and contribute no entry).
   std::vector<Region> regions;
-
-  /// Total stored doubles — used to cap what the memo cache retains.
-  std::size_t value_count() const {
-    std::size_t n = 0;
-    for (const Region& r : regions) n += 1 + r.alphas.size();
-    return n;
-  }
 };
 
 }  // namespace qwm::core

@@ -30,7 +30,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "qwm/core/warm_trace.h"
 #include "qwm/device/tabular_model.h"
 #include "qwm/support/fault_injection.h"
 #include "qwm/numeric/matrix.h"
@@ -116,10 +115,6 @@ class EvalWorkspace {
   std::vector<ElementCurrent> jm;
   std::vector<ElementCurrent> je;
 
-  // --- Warm-start state (previous tail region's converged solution). ---
-  WarmTrace::Region prev_tail;
-  std::vector<double> prev_i_start;  ///< node currents at that region's start
-
   /// Current footprint: the sum of every buffer's reserved capacity.
   std::size_t bytes() const {
     auto cap = [](const auto& v) {
@@ -132,8 +127,7 @@ class EvalWorkspace {
                     cap(inv_caps) + cap(vv) +
                     cap(cache_x) + cap(u_col) + cap(v_col) + cap(dv_dx) +
                     cap(dv_ddt) + cap(rhs) + cap(xv) + cap(accel) +
-                    cap(slope) + cap(vm) + cap(ve) + cap(jm) + cap(je) +
-                    cap(prev_tail.alphas) + cap(prev_i_start);
+                    cap(slope) + cap(vm) + cap(ve) + cap(jm) + cap(je);
     b += cap(tri.lower) + cap(tri.diag) + cap(tri.upper);
     b += jmat.rows() * jmat.cols() * sizeof(double);
     b += cap(newton.f) + cap(newton.dx) + cap(newton.x_trial) +

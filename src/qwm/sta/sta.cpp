@@ -1,6 +1,7 @@
 #include "qwm/sta/sta.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -21,13 +22,6 @@ numeric::PwlWaveform make_ramp(double t50, double slew, double vdd,
   const double t0 = std::max(t50 - 0.5 * dur, 0.0);
   if (rising) return numeric::PwlWaveform::ramp(t0, dur, 0.0, vdd);
   return numeric::PwlWaveform::ramp(t0, dur, vdd, 0.0);
-}
-
-/// True when make_ramp would clamp the ramp start at t = 0, breaking the
-/// time-translation invariance the memo cache relies on.
-bool ramp_clamped(double t50, double slew) {
-  const double dur = std::max(slew / 0.8, 1e-13);
-  return t50 < 0.5 * dur;
 }
 
 // The miss path: one immutable invalid record shared by every engine.
@@ -135,19 +129,17 @@ core::WorkspaceStats StaEngine::workspace_stats() const {
 
 void StaEngine::build_schedule() {
   const int n = static_cast<int>(design_.stages.size());
-  // Edges: stage A -> stage B when an output net of A is an input net of B.
+  // Edges: stage A -> stage B when an output net of A is an input net of
+  // B. A stage reading its own output gets no edge (prepare_record never
+  // takes that input as a trigger).
   consumers_.assign(n, {});
   std::vector<int> indeg(n, 0);
-  std::vector<char> self_fed(n, 0);
   for (int b = 0; b < n; ++b) {
     for (netlist::NetId in : design_.stages[b].input_nets) {
       const auto it = design_.driver_of.find(in);
       if (it == design_.driver_of.end()) continue;
       const int a = it->second.first;
-      if (a == b) {
-        self_fed[b] = 1;
-        continue;
-      }
+      if (a == b) continue;
       consumers_[a].push_back(b);
       ++indeg[b];
     }
@@ -156,7 +148,6 @@ void StaEngine::build_schedule() {
   // predecessor chain has length k, which makes every wave an
   // independent, parallel-evaluable level.
   levels_.clear();
-  level_of_.assign(n, -1);
   std::vector<int> frontier;
   for (int i = 0; i < n; ++i)
     if (indeg[i] == 0) frontier.push_back(i);
@@ -164,7 +155,6 @@ void StaEngine::build_schedule() {
   while (!frontier.empty()) {
     std::sort(frontier.begin(), frontier.end());
     placed += frontier.size();
-    for (int s : frontier) level_of_[s] = static_cast<int>(levels_.size());
     std::vector<int> next;
     for (int a : frontier)
       for (int b : consumers_[a])
@@ -192,16 +182,12 @@ void StaEngine::build_schedule() {
   for (const auto& info : design_.stages)
     for (netlist::NetId in : info.input_nets) endpoint_[in] = 0;
   // Consumers sit in later levels, so walking the levels backwards
-  // settles a net's required time before the net propagates it. Inside a
-  // self-fed stage a chain of arcs passes each output edge at most once,
-  // so that many passes over its outputs settle it too.
+  // settles a net's required time before the net propagates it.
   slack_order_.clear();
   for (auto lv = levels_.rbegin(); lv != levels_.rend(); ++lv)
     for (int s : *lv) {
       const auto& outs = design_.stages[s].output_nets;
-      const std::size_t passes = self_fed[s] ? 2 * outs.size() : 1;
-      for (std::size_t p = 0; p < passes; ++p)
-        slack_order_.insert(slack_order_.end(), outs.begin(), outs.end());
+      slack_order_.insert(slack_order_.end(), outs.begin(), outs.end());
     }
 }
 
@@ -209,9 +195,8 @@ std::uint64_t StaEngine::stage_key(int stage_index) {
   auto& slot = stage_keys_[stage_index];
   if (!slot) {
     const circuit::LogicStage& stage = design_.stages[stage_index].stage;
-    slot = circuit::hash_combine(
-        circuit::structural_hash(stage),
-        circuit::load_signature(stage, opt_.cache.load_quantum));
+    slot = circuit::hash_combine(circuit::structural_hash(stage),
+                                 circuit::load_signature(stage));
   }
   return *slot;
 }
@@ -225,10 +210,16 @@ void StaEngine::prepare_record(int stage_index, OutputRecord* rec) {
 
   // Pick the latest-arriving triggering input from this record's own
   // corner lane — each corner selects (and may differ in) its worst arc.
+  // An input the stage drives itself (a keeper or diode load reading its
+  // own output) is never a trigger: the schedule has no edge for it, so
+  // its arrival is whatever an earlier evaluation of this stage left.
+  const auto& outs = info.output_nets;
   rec->sw_input = -1;
   for (std::size_t i = 0; i < info.input_nets.size(); ++i) {
-    const NetTiming& t = timing_in(static_cast<std::size_t>(rec->corner_slot),
-                                   info.input_nets[i]);
+    const netlist::NetId in = info.input_nets[i];
+    if (std::find(outs.begin(), outs.end(), in) != outs.end()) continue;
+    const NetTiming& t =
+        timing_in(static_cast<std::size_t>(rec->corner_slot), in);
     const Arrival& a = trigger_rising ? t.rise : t.fall;
     if (!a.valid()) continue;
     if (rec->sw_input < 0 || a.time > rec->trigger.time) {
@@ -237,32 +228,46 @@ void StaEngine::prepare_record(int stage_index, OutputRecord* rec) {
     }
   }
   rec->kind = OutputRecord::Kind::skip;
-  rec->cacheable = false;
   if (rec->sw_input < 0) return;  // no triggering arrival known
 
   rec->kind = OutputRecord::Kind::owner;  // may be downgraded to hit/follower
   if (!opt_.use_cache) return;
-  // Very late triggers approach the QWM give-up horizon, where the
-  // transient can be truncated and the delay stops being translation
-  // invariant; evaluate those outside the cache.
-  if (rec->trigger.time > 0.25 * opt_.qwm.t_max) return;
-
-  rec->cacheable = true;
   rec->key.stage = stage_key(stage_index);
+  rec->key.trigger_time = std::bit_cast<std::uint64_t>(rec->trigger.time);
+  rec->key.trigger_slew = std::bit_cast<std::uint64_t>(rec->trigger.slew);
   rec->key.output_index = rec->output_index;
   rec->key.switching_input = rec->sw_input;
   rec->key.rising = rec->rising;
   rec->key.corner =
       static_cast<std::int8_t>(models_.corners[rec->corner_slot]);
-  rec->key.slew_bucket = cache_.slew_bucket(rec->trigger.slew);
-  rec->key.clamped = ramp_clamped(rec->trigger.time, rec->trigger.slew);
-  rec->key.time_bucket =
-      rec->key.clamped ? cache_.time_bucket(rec->trigger.time) : 0;
 }
 
-void StaEngine::evaluate_owner(int stage_index, OutputRecord* rec,
-                               core::EvalWorkspace& ws) const {
+StaEngine::StageTask StaEngine::prepare_task(int stage_index) {
+  StageTask task;
+  task.stage = stage_index;
   const circuit::StageInfo& info = design_.stages[stage_index];
+  for (std::size_t oi = 0; oi < info.output_nets.size(); ++oi) {
+    for (const bool rising : {true, false}) {
+      const int primary = static_cast<int>(task.records.size());
+      for (std::size_t cs = 0; cs < models_.count(); ++cs) {
+        OutputRecord rec;
+        rec.output_index = static_cast<int>(oi);
+        rec.rising = rising;
+        rec.net = info.output_nets[oi];
+        rec.corner_slot = static_cast<int>(cs);
+        if (cs > 0) rec.primary_index = primary;
+        prepare_record(stage_index, &rec);
+        task.records.push_back(std::move(rec));
+      }
+    }
+  }
+  return task;
+}
+
+void StaEngine::evaluate_owner(StageTask* task, int ri,
+                               core::EvalWorkspace& ws) const {
+  OutputRecord* rec = &task->records[static_cast<std::size_t>(ri)];
+  const circuit::StageInfo& info = design_.stages[task->stage];
   const circuit::LogicStage& stage = info.stage;
   const circuit::NodeId out_node = stage.outputs()[rec->output_index];
   const bool output_falls = !rec->rising;
@@ -285,17 +290,21 @@ void StaEngine::evaluate_owner(int stage_index, OutputRecord* rec,
           numeric::PwlWaveform::constant(output_falls ? vdd : 0.0));
   }
 
-  // Cacheable owners record their converged region trace (for later
-  // near-miss warm starts) and replay a near-miss seed when the classify
-  // phase found one. Both decisions were made serially against the frozen
-  // cache, so the evaluation — and its result — is scheduling-independent.
+  // The primary lane of a multi-corner engine records its converged
+  // region trace. A sibling lane replays it, on its own corner's time
+  // scale, when that primary ran QWM in this stage; whether it did is the
+  // memo classification, which both schedules make alike.
   core::QwmOptions qopt = opt_.qwm;
-  if ((rec->cacheable && cache_.options().max_trace_values > 0) ||
-      rec->keep_trace)
-    qopt.record_trace = true;
-  if (rec->warm != nullptr) {
-    qopt.warm = rec->warm.get();
-    qopt.warm_scale = rec->warm_scale;
+  qopt.record_trace = rec->corner_slot == 0 && models_.multi();
+  if (rec->primary_index >= 0) {
+    const OutputRecord& prim =
+        task->records[static_cast<std::size_t>(rec->primary_index)];
+    if (prim.kind == OutputRecord::Kind::owner && prim.value.ok &&
+        !prim.value.degraded && !prim.trace.regions.empty()) {
+      qopt.warm = &prim.trace;
+      qopt.warm_scale =
+          corner_warm_scale_[static_cast<std::size_t>(rec->corner_slot)];
+    }
   }
 
   core::StageTiming st = core::evaluate_stage(
@@ -303,25 +312,37 @@ void StaEngine::evaluate_owner(int stage_index, OutputRecord* rec,
   rec->stats = st.qwm.stats;
   rec->value = core::CachedStageResult{};
   rec->value.degraded = st.qwm.degraded;
-  // Memo bypass: a result produced by the fallback ladder — or a failure
-  // observed while a fault plan is armed — must never be served later as
-  // a nominal cached hit. Followers of this record still copy its value
-  // (deterministic intra-level sharing), but nothing is committed.
-  if (st.qwm.degraded || (!st.ok && support::fault_plan_armed()))
-    rec->cacheable = false;
+  // A result of the fallback ladder — or a failure observed while a fault
+  // plan is armed — is shared inside this analysis like any other, but
+  // must never be served to a later one as a nominal cached hit.
+  rec->run_only = st.qwm.degraded || (!st.ok && support::fault_plan_armed());
   if (!st.ok || !st.delay) return;  // memoized as a failed evaluation
   rec->value.ok = true;
   rec->value.delay = *st.delay;
   rec->value.slew = st.output_slew.value_or(opt_.input_slew);
-  // Traces kept for cross-corner seeding (keep_trace) skip the cache's
-  // retention cap — they live only for this level batch; the merge phase
-  // strips anything over the cap before a cache insert.
-  const std::size_t trace_values = st.qwm.trace.value_count();
-  if (qopt.record_trace && !st.qwm.degraded && trace_values > 0 &&
-      (rec->keep_trace ||
-       trace_values <= cache_.options().max_trace_values))
-    rec->value.trace =
-        std::make_shared<const core::WarmTrace>(std::move(st.qwm.trace));
+  if (qopt.record_trace && !st.qwm.degraded)
+    rec->trace = std::move(st.qwm.trace);
+}
+
+void StaEngine::count_record(const OutputRecord& rec) {
+  if (rec.sw_input >= 0) ++evals_;
+  if (rec.kind == OutputRecord::Kind::hit ||
+      rec.kind == OutputRecord::Kind::follower)
+    cache_.note_hit();
+  if (rec.kind != OutputRecord::Kind::owner) return;
+  qwm_stats_ += rec.stats;
+  qwm_stats_slot_[static_cast<std::size_t>(rec.corner_slot)] += rec.stats;
+  if (opt_.use_cache) cache_.note_miss();
+}
+
+void StaEngine::memoize(const OutputRecord& rec) {
+  cache_.insert(rec.key, rec.value);
+  if (rec.run_only) run_only_keys_.push_back(rec.key);
+}
+
+void StaEngine::drop_run_only() {
+  for (const core::StageEvalKey& key : run_only_keys_) cache_.erase(key);
+  run_only_keys_.clear();
 }
 
 bool StaEngine::apply_record(int stage_index, const OutputRecord& rec) {
@@ -359,7 +380,7 @@ std::vector<char> StaEngine::evaluate_level(const std::vector<int>& stages) {
   // after all owners finished) — the wait the deps scheduler eliminates.
   ++sched_stats_.barrier_syncs;
   // Phase 1 (serial): trigger selection + classification against the
-  // cache state frozen at level entry. Records that duplicate an earlier
+  // cache the earlier levels left. Records that duplicate an earlier
   // record's key within this same level become followers of the first
   // occurrence — the level's intra-batch sharing — so the outcome is a
   // pure function of the batch, never of thread scheduling.
@@ -372,69 +393,32 @@ std::vector<char> StaEngine::evaluate_level(const std::vector<int>& stages) {
   std::vector<FlatRef> flat;
   std::unordered_map<core::StageEvalKey, int, core::StageEvalKeyHash>
       first_owner;
-  std::vector<int> owners;  // flat indices that must run QWM
-  const std::size_t corner_count = models_.count();
+  std::vector<int> lead_owners, lag_owners;  // flat indices that run QWM
   for (int s : stages) {
-    StageTask task;
-    task.stage = s;
-    const circuit::StageInfo& info = design_.stages[s];
-    for (std::size_t oi = 0; oi < info.output_nets.size(); ++oi) {
-      for (const bool rising : {true, false}) {
-        // One record per active corner lane; the primary (slot 0) comes
-        // first and its flat index is remembered so sibling lanes can
-        // pick up its converged trace as a warm seed after phase 2a.
-        int primary_flat = -1;
-        for (std::size_t cs = 0; cs < corner_count; ++cs) {
-          OutputRecord rec;
-          rec.output_index = static_cast<int>(oi);
-          rec.rising = rising;
-          rec.net = info.output_nets[oi];
-          rec.corner_slot = static_cast<int>(cs);
-          if (cs == 0)
-            rec.keep_trace = corner_count > 1;
-          else
-            rec.primary_index = primary_flat;
-          prepare_record(s, &rec);
-          const int flat_index = static_cast<int>(flat.size());
-          if (cs == 0) primary_flat = flat_index;
-          if (rec.kind == OutputRecord::Kind::owner && rec.cacheable) {
-            if (const auto cached = cache_.peek(rec.key)) {
-              rec.kind = OutputRecord::Kind::hit;
-              rec.value = *cached;
-            } else {
-              const auto [it, inserted] =
-                  first_owner.try_emplace(rec.key, flat_index);
-              if (!inserted) {
-                rec.kind = OutputRecord::Kind::follower;
-                rec.owner_index = it->second;
-              } else if (cache_.options().max_trace_values > 0) {
-                // Near-miss warm probe: a resident entry in an adjacent
-                // slew bucket carries a converged trace from an almost
-                // identical evaluation — seed the owner's Newton solves
-                // from it. Fixed probe order keeps the choice (and thus
-                // the result) deterministic. Keys carry the corner, so a
-                // lane only ever replays its own corner's traces here.
-                core::StageEvalKey near = rec.key;
-                for (const int d : {-1, 1}) {
-                  near.slew_bucket = rec.key.slew_bucket + d;
-                  const auto c = cache_.peek(near);
-                  if (c && c->ok && c->trace != nullptr) {
-                    rec.warm = c->trace;
-                    break;
-                  }
-                }
-              }
-            }
-          }
-          if (rec.kind == OutputRecord::Kind::owner)
-            owners.push_back(flat_index);
-          task.records.push_back(std::move(rec));
-          flat.push_back({static_cast<int>(tasks.size()),
-                          static_cast<int>(task.records.size()) - 1});
+    const int ti = static_cast<int>(tasks.size());
+    tasks.push_back(prepare_task(s));
+    StageTask& task = tasks.back();
+    for (std::size_t ri = 0; ri < task.records.size(); ++ri) {
+      OutputRecord& rec = task.records[ri];
+      const int flat_index = static_cast<int>(flat.size());
+      flat.push_back({ti, static_cast<int>(ri)});
+      if (rec.kind != OutputRecord::Kind::owner) continue;
+      if (opt_.use_cache) {
+        if (const auto cached = cache_.peek(rec.key)) {
+          rec.kind = OutputRecord::Kind::hit;
+          rec.value = *cached;
+          continue;
+        }
+        const auto [it, inserted] =
+            first_owner.try_emplace(rec.key, flat_index);
+        if (!inserted) {
+          rec.kind = OutputRecord::Kind::follower;
+          rec.owner_index = it->second;
+          continue;
         }
       }
+      (rec.corner_slot == 0 ? lead_owners : lag_owners).push_back(flat_index);
     }
-    tasks.push_back(std::move(task));
   }
 
   // Phase 2 (parallel): run the distinct QWM evaluations across the
@@ -444,24 +428,17 @@ std::vector<char> StaEngine::evaluate_level(const std::vector<int>& stages) {
   // Each lane reuses its own scratch arena across owners and levels.
   //
   // Multi-corner batches dispatch in two waves: the primary-lane owners
-  // first (2a), then — after serially seeding each sibling owner with its
-  // primary record's converged trace — the remaining corners (2b). The
-  // seeding decisions depend only on the frozen cache and the primary
-  // results, which are themselves scheduling-independent, so determinism
-  // is preserved. Single-corner batches reduce to one wave, bit-identical
-  // to the pre-corner engine.
+  // first (2a), then the remaining corners (2b), each seeded from its
+  // primary record's converged trace when that record ran QWM. Single-
+  // corner batches reduce to one wave.
   const int lanes = thread_count();
-  if (!owners.empty() && static_cast<int>(lane_ws_.size()) < lanes)
+  if (lead_owners.size() + lag_owners.size() > 0 &&
+      static_cast<int>(lane_ws_.size()) < lanes)
     lane_ws_.resize(static_cast<std::size_t>(lanes));
-  const auto record_at = [&](int fi) -> OutputRecord& {
-    const FlatRef ref = flat[fi];
-    return tasks[ref.task].records[ref.record];
-  };
   const auto run_owner_set = [&](const std::vector<int>& set) {
     const auto run_owner = [&](std::size_t j, int lane) {
       const FlatRef ref = flat[set[j]];
-      evaluate_owner(tasks[ref.task].stage,
-                     &tasks[ref.task].records[ref.record],
+      evaluate_owner(&tasks[ref.task], ref.record,
                      lane_ws_[static_cast<std::size_t>(lane)]);
     };
     if (lanes > 1 && set.size() > 1) {
@@ -472,27 +449,8 @@ std::vector<char> StaEngine::evaluate_level(const std::vector<int>& stages) {
       for (std::size_t j = 0; j < set.size(); ++j) run_owner(j, 0);
     }
   };
-  std::vector<int> lead_owners, lag_owners;
-  for (const int fi : owners)
-    (record_at(fi).corner_slot == 0 ? lead_owners : lag_owners).push_back(fi);
   run_owner_set(lead_owners);
-  if (!lag_owners.empty()) {
-    for (const int fi : lag_owners) {
-      OutputRecord& rec = record_at(fi);
-      if (rec.warm || rec.primary_index < 0) continue;
-      // Chase through a follower primary to the record that actually ran.
-      const OutputRecord* prim = &record_at(rec.primary_index);
-      if (prim->kind == OutputRecord::Kind::follower &&
-          prim->owner_index >= 0)
-        prim = &record_at(prim->owner_index);
-      if (prim->value.ok && !prim->value.degraded && prim->value.trace) {
-        rec.warm = prim->value.trace;
-        // Typical's region lengths replayed on this corner's time scale.
-        rec.warm_scale = corner_warm_scale_[rec.corner_slot];
-      }
-    }
-    run_owner_set(lag_owners);
-  }
+  run_owner_set(lag_owners);
 
   // Phase 3 (serial merge, ascending stage order): resolve followers,
   // commit new entries, count, and apply arrivals. Identical regardless
@@ -501,40 +459,13 @@ std::vector<char> StaEngine::evaluate_level(const std::vector<int>& stages) {
   for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
     StageTask& task = tasks[ti];
     for (OutputRecord& rec : task.records) {
-      if (rec.sw_input >= 0) ++evals_;
-      switch (rec.kind) {
-        case OutputRecord::Kind::skip:
-          break;
-        case OutputRecord::Kind::hit:
-          cache_.note_hit();
-          break;
-        case OutputRecord::Kind::follower: {
-          cache_.note_hit();
-          const FlatRef ref = flat[rec.owner_index];
-          rec.value = tasks[ref.task].records[ref.record].value;
-          break;
-        }
-        case OutputRecord::Kind::owner:
-          qwm_stats_ += rec.stats;
-          qwm_stats_slot_[static_cast<std::size_t>(rec.corner_slot)] +=
-              rec.stats;
-          if (rec.cacheable) {
-            cache_.note_miss();
-            // keep_trace may have retained a trace past the cache's
-            // retention policy (it existed to seed sibling corners);
-            // strip it before committing.
-            const std::size_t cap = cache_.options().max_trace_values;
-            if (rec.value.trace != nullptr &&
-                (cap == 0 || rec.value.trace->value_count() > cap)) {
-              core::CachedStageResult v = rec.value;
-              v.trace = nullptr;
-              cache_.insert(rec.key, v);
-            } else {
-              cache_.insert(rec.key, rec.value);
-            }
-          }
-          break;
+      if (rec.kind == OutputRecord::Kind::follower) {
+        const FlatRef ref = flat[rec.owner_index];
+        rec.value = tasks[ref.task].records[ref.record].value;
       }
+      count_record(rec);
+      if (rec.kind == OutputRecord::Kind::owner && opt_.use_cache)
+        memoize(rec);
       if (apply_record(task.stage, rec)) changed[ti] = 1;
     }
   }
@@ -544,14 +475,18 @@ std::vector<char> StaEngine::evaluate_level(const std::vector<int>& stages) {
 std::size_t StaEngine::run() {
   if (cyclic_)
     warnings_.push_back("combinational cycle detected; cyclic stages skipped");
+  const std::size_t before = evals_;
   // The deps schedule needs the complete acyclic graph; a cyclic design
   // falls back to the level schedule (which skips the cyclic stages).
-  if (opt_.schedule == Schedule::deps && !cyclic_) return run_deps();
-  const std::size_t before = evals_;
-  for (const auto& level : levels_) {
-    evaluate_level(level);
-    for (int s : level) dirty_[s] = 0;
+  if (opt_.schedule == Schedule::deps && !cyclic_) {
+    run_deps();
+  } else {
+    for (const auto& level : levels_) {
+      evaluate_level(level);
+      for (int s : level) dirty_[s] = 0;
+    }
   }
+  drop_run_only();
   return evals_ - before;
 }
 
@@ -572,19 +507,20 @@ std::size_t StaEngine::update() {
   // Propagate level by level: a dirty stage re-evaluates; if its outputs
   // moved, every consumer becomes dirty too (consumers always live in
   // later levels).
-  std::vector<char> dirty = dirty_;
+  update_dirty_.assign(dirty_.begin(), dirty_.end());
   for (const auto& level : levels_) {
-    std::vector<int> todo;
+    update_todo_.clear();
     for (int s : level)
-      if (dirty[s]) todo.push_back(s);
-    if (todo.empty()) continue;
-    const std::vector<char> changed = evaluate_level(todo);
-    for (std::size_t i = 0; i < todo.size(); ++i) {
-      dirty_[todo[i]] = 0;
+      if (update_dirty_[s]) update_todo_.push_back(s);
+    if (update_todo_.empty()) continue;
+    const std::vector<char> changed = evaluate_level(update_todo_);
+    for (std::size_t i = 0; i < update_todo_.size(); ++i) {
+      dirty_[update_todo_[i]] = 0;
       if (changed[i])
-        for (int b : consumers_[todo[i]]) dirty[b] = 1;
+        for (int b : consumers_[update_todo_[i]]) update_dirty_[b] = 1;
     }
   }
+  drop_run_only();
   return evals_ - before;
 }
 

@@ -16,22 +16,24 @@
 // bit-identical to a single-threaded run regardless of thread count.
 //
 // Caching: stage evaluations are memoized in a StageEvalCache keyed by
-// the structural stage hash, the quantized input slew, and the quantized
-// load signature, so electrically identical stages (decoder rows,
-// repeated buffers) evaluate QWM once. Lookups run against a cache
-// frozen for the duration of a level; new results are committed during
-// the deterministic merge, which keeps the cache contents — and hence
-// every downstream arrival — independent of scheduling.
+// the exact stimulus — the structural stage hash with the loads' bits,
+// the output, the switching input, the edge, the corner, and the
+// trigger's time and slew bits. A hit returns the bits a re-evaluation
+// would compute, so an analysis with the cache on is bitwise equal to
+// one with it off, and electrically identical stages driven alike
+// (decoder rows, repeated buffers) evaluate QWM once. New results are
+// committed during the deterministic merge.
 //
 // Corners: constructed from a CornerModelSet, the engine propagates one
 // arrival lane per active process corner through the same schedule. The
-// primary (typical) lane evaluates first each level and records its
-// converged region traces; fast/slow owners seed their Newton solves
-// from the typical trace (cross-corner warm start), so extra corners
-// ride along at a fraction of a cold re-run. Cache keys carry the
-// corner, so lanes never share memoized results. The legacy
-// single-ModelSet constructor wraps into a one-corner set and behaves
-// bit-identically to the pre-corner engine.
+// primary (typical) record of each output edge evaluates first; when it
+// runs QWM it records its converged region trace, and the fast/slow
+// records of the same stage that run QWM seed their Newton solves from
+// it (cross-corner warm start), so extra corners ride along at a
+// fraction of a cold re-run. Cache keys carry the corner, so lanes never
+// share memoized results. The legacy single-ModelSet constructor wraps
+// into a one-corner set and behaves bit-identically to the pre-corner
+// engine.
 #pragma once
 
 #include <limits>
@@ -44,6 +46,7 @@
 #include "qwm/circuit/partition.h"
 #include "qwm/core/eval_cache.h"
 #include "qwm/core/stage_eval.h"
+#include "qwm/core/warm_trace.h"
 #include "qwm/core/workspace.h"
 #include "qwm/device/model_set.h"
 #include "qwm/support/counters.h"
@@ -76,14 +79,14 @@ struct NetTiming {
 /// `deps` — dependency-counting asynchronous schedule: each stage holds
 /// an outstanding-predecessor counter and enqueues the moment its last
 /// predecessor retires; no level barriers. Both produce bit-identical
-/// arrivals (including corner lanes, memo-cache contents, and sticky
-/// degraded flags) as long as the memo cache never evicts mid-run —
-/// the deps mode serializes memo-twin stages on a per-class chain and
-/// routes intra-level sharing through a per-run key table so every
-/// record makes exactly the classification the frozen-cache level
-/// schedule would have made. update() always uses the level schedule
-/// (its dirty-cone walk is level-structured); a cyclic design falls
-/// back to levels as well.
+/// arrivals (including corner lanes and sticky degraded flags) and the
+/// same memo hit/miss and QWM work counts as long as the memo cache
+/// never evicts mid-run: the deps mode runs stages of equal memo
+/// identity one after another on a per-class chain, so a twin finds in
+/// the cache what the level schedule gives it as a hit or as a follower
+/// of a same-level owner. update() always uses the level schedule (its
+/// dirty-cone walk is level-structured); a cyclic design falls back to
+/// levels as well.
 enum class Schedule { levels, deps };
 
 struct StaOptions {
@@ -92,8 +95,7 @@ struct StaOptions {
   /// Worker lanes for level evaluation. 1 = serial; <= 0 = one lane per
   /// hardware thread. Any value yields bit-identical results.
   int threads = 1;
-  /// Memoize stage evaluations across identical (structure, slew, load)
-  /// configurations.
+  /// Memoize stage evaluations across identical (stage, stimulus) pairs.
   bool use_cache = true;
   core::EvalCacheOptions cache;
   Schedule schedule = Schedule::levels;
@@ -113,11 +115,9 @@ struct ScheduleStats {
   /// own shard was empty (deps). Zero on single-lane runs; the
   /// load-imbalance observable on multi-lane runs.
   std::size_t steal_count = 0;
-  /// Contended lock acquisitions during record classification (claim-table
-  /// shard or cache mutex already held by another lane). The observable
-  /// that classification left the global lock: under the old design every
-  /// classification serialized; now only genuine same-shard collisions
-  /// wait. Zero on single-lane runs.
+  /// Contended acquisitions of the memo-cache mutex during record
+  /// classification (deps): a lane's cache peek found another lane's peek
+  /// or insert in progress. Zero on single-lane runs.
   std::size_t classify_lock_waits = 0;
 };
 
@@ -296,40 +296,34 @@ class StaEngine {
   struct OutputRecord {
     enum class Kind {
       skip,      ///< no triggering arrival; result is the invalid Arrival
-      hit,       ///< served from the frozen cache
+      hit,       ///< served from the memo cache
       owner,     ///< evaluates QWM; result committed to the cache
-      follower,  ///< duplicates an owner's key within the same level
+      follower,  ///< duplicates an owner's key within the same level batch
     };
     int output_index = 0;
     bool rising = false;
     netlist::NetId net = -1;
     /// Active-corner lane this record evaluates (0 = primary).
     int corner_slot = 0;
-    /// Non-primary lanes: flat index of the slot-0 sibling record for the
-    /// same (output, edge) — the cross-corner warm-seed source.
+    /// Non-primary lanes: index, in the stage's records, of the slot-0
+    /// sibling for the same (output, edge) — the cross-corner warm seed.
     int primary_index = -1;
-    /// Record the converged trace even when the record is not cacheable
-    /// (primary lane of a multi-corner batch: the trace seeds siblings).
-    bool keep_trace = false;
     int sw_input = -1;
     Arrival trigger;
     Kind kind = Kind::skip;
-    bool cacheable = false;  ///< key is meaningful (cache on, no bypass)
-    core::StageEvalKey key;
+    core::StageEvalKey key;  ///< filled when the cache is on
     /// follower: flat index of the owning record in the level batch.
     int owner_index = -1;
     core::CachedStageResult value;
-    /// Owner only: near-miss warm seed picked during the serial classify
-    /// phase (adjacent slew bucket of the frozen cache), if any.
-    std::shared_ptr<const core::WarmTrace> warm;
-    /// Region-length scale for `warm` (QwmOptions::warm_scale). 1.0 for
-    /// same-corner near-miss seeds; the drive-strength ratio when a
-    /// sibling lane replays the typical lane's trace.
-    double warm_scale = 1.0;
+    /// Owner only: the result came from the fallback ladder or failed
+    /// under an armed fault plan, so its cache entry lives only until the
+    /// run()/update() that made it returns.
+    bool run_only = false;
+    /// Primary-lane owner of a multi-corner engine: its converged region
+    /// trace, which seeds the sibling lanes' owners of the same stage.
+    core::WarmTrace trace;
     /// Owner only: QWM work counters from the evaluation.
     core::QwmStats stats;
-    /// Owner only: the stimulus for the QWM evaluation.
-    std::vector<numeric::PwlWaveform> inputs;
   };
   struct StageTask {
     int stage = -1;
@@ -337,23 +331,33 @@ class StaEngine {
   };
 
   /// Evaluates a batch of mutually independent stages: classify against
-  /// the frozen cache, run owners across the pool, merge in stage order.
-  /// Returns per-task "any arrival changed" flags.
+  /// the cache the earlier levels left, run owners across the pool, merge
+  /// in stage order. Returns per-task "any arrival changed" flags.
   std::vector<char> evaluate_level(const std::vector<int>& stages);
-  /// Fills trigger selection + cache classification for one record.
+  /// One record per (output, edge, corner) of a stage, primary lane
+  /// first, each with its trigger and memo key picked (prepare_record).
+  StageTask prepare_task(int stage_index);
+  /// Picks a record's trigger and fills its memo key; kind becomes owner,
+  /// or skip when no input has an arrival on the triggering edge.
   void prepare_record(int stage_index, OutputRecord* rec);
-  /// Runs QWM for an owner record (worker-thread safe: touches only the
-  /// record, its lane's workspace, the immutable design and the models).
-  void evaluate_owner(int stage_index, OutputRecord* rec,
-                      core::EvalWorkspace& ws) const;
+  /// Runs QWM for owner record `ri` of `task` (worker-thread safe: writes
+  /// only that record and its lane's workspace; reads the record's
+  /// primary sibling, the immutable design and the models).
+  void evaluate_owner(StageTask* task, int ri, core::EvalWorkspace& ws) const;
+  /// Counts a record's evaluation, memo outcome and QWM work.
+  void count_record(const OutputRecord& rec);
+  /// Commits an owner's result to the memo cache (exclusive cache access).
+  void memoize(const OutputRecord& rec);
+  /// Erases the run-only entries the current run()/update() inserted.
+  void drop_run_only();
   /// Applies a record's result to the timing store; true if it changed.
   bool apply_record(int stage_index, const OutputRecord& rec);
   /// Full analysis under the dependency-counting schedule (sta_deps.cpp).
   /// Precondition: !cyclic_. Bit-identical to the level schedule.
-  std::size_t run_deps();
+  void run_deps();
 
-  /// Memo identity of a stage: structural hash + quantized load
-  /// signature, computed lazily and invalidated by resize_transistor.
+  /// Memo identity of a stage: structural hash + load bits, computed
+  /// lazily and invalidated by resize_transistor.
   std::uint64_t stage_key(int stage_index);
   void build_schedule();
   /// Slot-indexed timing lookup with the shared miss path.
@@ -372,24 +376,21 @@ class StaEngine {
   /// set distinct nets' flags while classifications read others.
   std::vector<char> written_;
   std::vector<char> dirty_;
+  /// update()'s scratch: the dirty flags it propagates and one level's
+  /// dirty stages. Members, so an update allocates neither.
+  std::vector<char> update_dirty_;
+  std::vector<int> update_todo_;
   std::vector<std::string> warnings_;
   std::size_t evals_ = 0;
 
   /// Topological levels; within a level stages are mutually independent.
   std::vector<std::vector<int>> levels_;
-  /// Topological level of each stage (-1 for cyclic stages). The deps
-  /// scheduler's per-run key table stores the claiming stage's level so
-  /// classification can distinguish "same level — share the in-flight
-  /// result" from "earlier level — the frozen cache would have served it".
-  std::vector<int> level_of_;
   /// Stage adjacency: consumers_[a] = stages reading an output net of a.
   std::vector<std::vector<int>> consumers_;
   /// Stage-output nets in stage order: the scans' list.
   std::vector<netlist::NetId> output_nets_;
   /// Stage-output nets in reverse topological order: the slack walk's
-  /// list. A stage that reads its own output (keeper-style feedback) can
-  /// time one output edge from another, so it lists its outputs once per
-  /// output edge and the chain inside the stage settles too.
+  /// list.
   std::vector<netlist::NetId> slack_order_;
   /// Per NetId: a stage output that no stage reads (a slack endpoint).
   std::vector<char> endpoint_;
@@ -397,6 +398,8 @@ class StaEngine {
   ScheduleStats sched_stats_;
 
   core::StageEvalCache cache_;
+  /// Keys of the run-only entries inserted since run()/update() began.
+  std::vector<core::StageEvalKey> run_only_keys_;
   std::vector<std::optional<std::uint64_t>> stage_keys_;
   std::unique_ptr<support::ThreadPool> pool_;
   /// One scratch arena per worker lane (index = lane id); sized lazily

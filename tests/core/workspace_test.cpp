@@ -158,8 +158,8 @@ TEST(WarmStart, ReplaySameInputsIsBitIdenticalAtZeroNewtonWork) {
 }
 
 TEST(WarmStart, NearbyOperatingPointTraceCutsNewtonWork) {
-  // The memo cache's near-miss case: same structure, slightly different
-  // load. Seeding from the neighbour's trace must converge to the cold
+  // A nearby operating point: same structure, slightly different load.
+  // Seeding from the neighbour's trace must converge to the cold
   // answer (same residual, same tolerance) with strictly less work.
   const auto base = make_stack(4, 1.2e-6, 20e-15);
   const auto shifted = make_stack(4, 1.2e-6, 22e-15);

@@ -126,6 +126,29 @@ TEST_F(FleetTest, MutationsAdvanceTheFleetEpochConsistently) {
   }
 }
 
+// qwm_router's replicas keep the memo cache on. The cache keys the exact
+// stimulus, so cached replicas answer the cache-off reference's bits,
+// before and after a write.
+TEST_F(FleetTest, CachedReplicasMatchUncachedReference) {
+  TestFleet tf(3);
+  ASSERT_TRUE(is_ok(tf.ask("LOAD " + deck_path_)));
+  const auto expect_reference_bits = [&] {
+    for (const auto& net : chain_nets(kStages))
+      for (const std::string& req :
+           {"ARRIVAL " + net, "SLACK " + net + " 2n"}) {
+        const std::string want = reference_.handle_line(req);
+        for (const std::string& got : tf.ask_each(req))
+          EXPECT_EQ(got, want) << req;
+      }
+  };
+  expect_reference_bits();
+  for (const char* write : {"RESIZE 0 0 2.5u", "UPDATE"}) {
+    ASSERT_TRUE(is_ok(reference_.handle_line(write)));
+    ASSERT_TRUE(is_ok(tf.ask(write)));
+  }
+  expect_reference_bits();
+}
+
 TEST_F(FleetTest, UnknownNetAndBadVerbsProduceStructuredErrors) {
   TestFleet tf(2);
   ASSERT_TRUE(is_ok(tf.ask("LOAD " + deck_path_)));

@@ -59,11 +59,10 @@ struct TestFleet {
   std::atomic<int> restarts_built{0};
   std::unique_ptr<Fleet> fleet;
 
-  /// `use_cache = false` when a test compares against a cache-off
-  /// single-server reference: the memo cache's bucketed reuse makes an
-  /// answer depend on what the process evaluated before, so only a
-  /// cache-off engine is a history-free reference. Replicas compared
-  /// with each other keep the cache on — they all replay one history.
+  /// `use_cache = false` runs the replicas cache-off, like the
+  /// single-server reference most tests compare against. The memo cache
+  /// keys the exact stimulus, so cache-on replicas answer the same bits
+  /// (FleetTest.CachedReplicasMatchUncachedReference).
   explicit TestFleet(int r, FleetOptions fopt = tight_health(),
                      bool use_cache = true)
       : use_cache_(use_cache) {

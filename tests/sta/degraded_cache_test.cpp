@@ -1,9 +1,9 @@
 // Degraded results and the stage-eval memo cache: a result produced by
-// the fallback ladder must never be committed to the cache — otherwise a
-// later nominal run would serve the fallback answer as a nominal cached
-// hit. Degradation must also propagate transitively through arrivals and
-// clear once the cone is re-evaluated nominally, and the flags must be
-// identical across worker-lane counts.
+// the fallback ladder must never outlive the analysis that made it in
+// the cache — otherwise a later nominal run would serve the fallback
+// answer as a nominal cached hit. Degradation must also propagate
+// transitively through arrivals and clear once the cone is re-evaluated
+// nominally, and the flags must be identical across worker-lane counts.
 #include "qwm/sta/sta.h"
 
 #include <gtest/gtest.h>
@@ -69,18 +69,20 @@ TEST(DegradedCache, FallbackResultsAreNeverMemoized) {
   auto design = circuit::partition_netlist(parsed.netlist, models());
 
   StaEngine sta(design, models());
+  std::size_t evals = 0;
   {
     ScopedFaultPlan armed{stall_plan()};
-    sta.run();
+    evals = sta.run();
   }
   const auto b = net(parsed.netlist, "b");
   const auto c = net(parsed.netlist, "c");
   EXPECT_TRUE(sta.timing(b).fall.degraded);
   EXPECT_TRUE(sta.timing(c).fall.degraded);
-  // Identical twins share one (degraded) evaluation within the level,
-  // but nothing reaches the cache.
+  // Identical twins share one (degraded) evaluation within the run, but
+  // nothing stays in the cache; every evaluation was one lookup.
   EXPECT_EQ(sta.timing(b).fall.time, sta.timing(c).fall.time);
   EXPECT_EQ(sta.cache_entries(), 0u);
+  EXPECT_EQ(sta.cache_stats().hits + sta.cache_stats().misses, evals);
   EXPECT_GT(sta.qwm_stats().fallback_counts[core::kRungDamped], 0u);
 
   // Disarmed re-run: must recompute nominally, not serve a stale

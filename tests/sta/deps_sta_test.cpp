@@ -47,8 +47,8 @@ TEST(DepsSta, GoldenGatesBitIdentical) {
     EXPECT_EQ(evals, ref_evals);
     expect_identical(ref, deps, "golden");
 
-    // The deps run makes exactly the classification decisions the frozen
-    // cache would have made: same hit/miss/insertion accounting.
+    // The deps run makes exactly the level schedule's classification
+    // decisions: same hit/miss/insertion accounting.
     const auto cs = deps.cache_stats();
     EXPECT_EQ(cs.hits, ref_cache.hits);
     EXPECT_EQ(cs.misses, ref_cache.misses);
@@ -133,7 +133,7 @@ TEST(DepsSta, ArmedFaultLandsOnSameFallbackRungs) {
   const std::size_t ref_damped =
       ref.qwm_stats().fallback_counts[core::kRungDamped];
   ASSERT_GT(ref_damped, 0u);
-  EXPECT_EQ(ref.cache_entries(), 0u);  // degraded results never memoized
+  EXPECT_EQ(ref.cache_entries(), 0u);  // degraded results never outlive run()
 
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(threads);

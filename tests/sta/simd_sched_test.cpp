@@ -10,8 +10,8 @@
 //     runs (a single run may drain without contention; five in a row do
 //     not), and a single-lane run proving both contention counters stay
 //     at exactly zero when there is nobody to contend with. Runs under
-//     the tier-1 TSan preset, which is where a shard/claim-table race
-//     would surface.
+//     the tier-1 TSan preset, which is where a queue-shard or memo-cache
+//     race would surface.
 #include "qwm/sta/sta.h"
 
 #include <gtest/gtest.h>

@@ -5,7 +5,9 @@
 // sequence on the 64-row decoder and generated grid/tree/dag designs, at
 // 1 lane (levels schedule) and 4 lanes (deps schedule), with the memo
 // cache on and off. The same states pin worst_arrival() and
-// critical_path() against the stage-order scans they replaced. Separate
+// critical_path() against the stage-order scans they replaced, and every
+// cache-on case drives a cache-off engine through the same edits: the
+// memo cache must not move one bit of any stage-output arrival. Separate
 // tests cover a stage that reads its own output and the flat store's
 // miss path.
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <ostream>
 #include <random>
 #include <set>
@@ -160,6 +163,22 @@ bool same_slack(const Slack& a, const Slack& b) {
          bits(a.slack) == bits(b.slack);
 }
 
+/// Stage-output arrival values (time, slew, degraded flag of each edge)
+/// on which two engines over the same design differ bitwise.
+std::size_t arrival_mismatches(const StaEngine& x, const StaEngine& y) {
+  std::size_t n = 0;
+  for (const auto& info : x.design().stages)
+    for (netlist::NetId net : info.output_nets)
+      for (const bool rising : {true, false}) {
+        const Arrival& a = rising ? x.timing(net).rise : x.timing(net).fall;
+        const Arrival& b = rising ? y.timing(net).rise : y.timing(net).fall;
+        n += bits(a.time) != bits(b.time);
+        n += bits(a.slew) != bits(b.slew);
+        n += a.degraded != b.degraded;
+      }
+  return n;
+}
+
 /// A design, its net names and the source DesignDb loads it from.
 struct Case {
   netlist::FlatNetlist nl;
@@ -214,7 +233,15 @@ TEST_P(SlackOracle, WalkMatchesSortedReferenceAndDesignDb) {
   opt.threads = cfg.threads;
   opt.use_cache = cfg.cache;
   StaEngine eng(c.design, models(), opt);
-  eng.run();
+  std::size_t evals_total = eng.run();
+  // The cache-off twin of a cache-on case.
+  std::unique_ptr<StaEngine> uncached;
+  if (cfg.cache) {
+    StaOptions off = opt;
+    off.use_cache = false;
+    uncached = std::make_unique<StaEngine>(c.design, models(), off);
+    ASSERT_EQ(uncached->run(), evals_total);
+  }
   service::DesignDbOptions dbopt;
   dbopt.sta = opt;
   service::DesignDb db(dbopt);
@@ -250,6 +277,18 @@ TEST_P(SlackOracle, WalkMatchesSortedReferenceAndDesignDb) {
       ASSERT_TRUE(db.resize(s, edge, w).status.ok);
       const std::size_t evals = eng.update();
       ASSERT_EQ(db.update().evals, evals);
+      evals_total += evals;
+      if (uncached) {
+        uncached->resize_transistor(s, static_cast<circuit::EdgeId>(edge), w);
+        ASSERT_EQ(uncached->update(), evals);
+      }
+    }
+    if (uncached) {
+      // Cache on is cache off, bit for bit, and every evaluation was one
+      // memo lookup.
+      EXPECT_EQ(arrival_mismatches(eng, *uncached), 0u);
+      const support::CacheStats cs = eng.cache_stats();
+      EXPECT_EQ(cs.hits + cs.misses, evals_total);
     }
 
     // A period just under the worst arrival puts the critical cone in
@@ -313,12 +352,13 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(SlackOracleSelfFed, ArcInsideTheStageSettlesBeforeItPropagates) {
-  // Stage b reads its own output through the diode-connected mk. With a
-  // late falling input, update() times b's fall from b's own rise while
-  // b's rise stays triggered by a, so b.rise's required time takes a
-  // contribution from b.fall that must settle before b.rise propagates
-  // to a: reverse topological order alone does not order the two.
+TEST(SlackOracleSelfFed, OwnOutputNeverTriggersTheStage) {
+  // Stage b reads its own output through the diode-connected mk. That
+  // input is no trigger: the schedule has no edge for it, so its arrival
+  // would be whatever b's previous evaluation left. Both of b's edges are
+  // timed from a, so after a resize and update() the arrivals equal those
+  // of an engine built with the new width, and the one-pass walk still
+  // matches the sort-based reference.
   constexpr const char* kSelfFed = R"(self-fed stage
 vdd vdd 0 3.3
 vin a 0 0
@@ -363,13 +403,32 @@ cl d 0 20f
       EXPECT_TRUE(same_slack(map.at(net), s)) << net;
     }
   };
+  ASSERT_EQ(eng.timing(b).rise.from_net, a);
   ASSERT_EQ(eng.timing(b).fall.from_net, a);
   expect_walk_matches();
 
   eng.resize_transistor(sb, nmos, 1.5e-6);
   eng.update();
   ASSERT_EQ(eng.timing(b).rise.from_net, a);
-  ASSERT_EQ(eng.timing(b).fall.from_net, b);  // the arc inside the stage
+  ASSERT_EQ(eng.timing(b).fall.from_net, a);
+
+  circuit::PartitionedDesign resized = design;
+  resized.stages[static_cast<std::size_t>(sb)].stage.edge_mut(nmos).w = 1.5e-6;
+  StaEngine fresh(resized, models());
+  fresh.set_input_arrival(a, 0.0, 500e-12);
+  fresh.run();
+  for (netlist::NetId n = 0; n < bound; ++n) {
+    ASSERT_EQ(eng.has_timing(n), fresh.has_timing(n)) << n;
+    for (const bool rising : {true, false}) {
+      const Arrival& x = rising ? eng.timing(n).rise : eng.timing(n).fall;
+      const Arrival& y = rising ? fresh.timing(n).rise : fresh.timing(n).fall;
+      EXPECT_EQ(bits(x.time), bits(y.time)) << n << " rising=" << rising;
+      EXPECT_EQ(bits(x.slew), bits(y.slew)) << n << " rising=" << rising;
+      EXPECT_EQ(x.from_net, y.from_net) << n << " rising=" << rising;
+      EXPECT_EQ(x.from_stage, y.from_stage) << n << " rising=" << rising;
+      EXPECT_EQ(x.degraded, y.degraded) << n << " rising=" << rising;
+    }
+  }
   expect_walk_matches();
 }
 

@@ -88,9 +88,10 @@ grep -q "clean shutdown" "$smoke_dir/serve.log" || { echo "qwm_serve: no clean s
 echo "service smoke passed"
 
 echo "== replicated service smoke (qwm_router: failover + reconverge) =="
-# A 12-stage chain served by 3 full-design replicas; qwm_load --verify
-# --no-cache re-times every answered net in a single-process engine, so
-# "mismatches: 0" is the bit-exactness gate for the routed answers.
+# A 12-stage chain served by 3 full-design replicas with the memo cache
+# on; qwm_load --verify --no-cache re-times every answered net in a
+# single-process cache-off engine, so "mismatches: 0" is the
+# bit-exactness gate for the routed, cached answers.
 {
   echo "ci replicated smoke chain"
   echo "vdd vdd 0 3.3"

@@ -99,16 +99,11 @@ Child spawn_child(const SpawnConfig& cfg, int replica) {
   const std::string port_file = cfg.run_dir + "/" + tag + ".port";
   std::remove(port_file.c_str());
 
-  // Every child runs with the stage-eval memo cache off, so its answers
-  // match the cache-off reference engine of `qwm_load --verify
-  // --no-cache`: with the cache on, slew-bucketed reuse moves arrivals
-  // slightly away from the cache-off values.
   std::vector<std::string> args = {cfg.serve_bin,
                                    "--port",
                                    "0",
                                    "--port-file",
                                    port_file,
-                                   "--no-cache",
                                    "--threads",
                                    std::to_string(cfg.replica_threads)};
   const std::string& fault = cfg.replica_fault[static_cast<std::size_t>(replica)];
