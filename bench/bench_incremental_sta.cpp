@@ -158,7 +158,6 @@ int main(int argc, char** argv) {
         JsonObject()
             .integer("newton_iters", qwm_total.newton_iterations)
             .integer("device_evals", qwm_total.device_evals)
-            .integer("warm_starts", qwm_total.warm_starts)
             .integer("ws_high_water_bytes", ws_total.high_water_bytes)
             .integer("ws_grow_events", ws_total.grow_events)
             .str() +

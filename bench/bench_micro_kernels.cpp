@@ -139,28 +139,6 @@ void BM_QwmStackEvalWs(benchmark::State& state) {
 }
 BENCHMARK(BM_QwmStackEvalWs)->Arg(2)->Arg(6)->Arg(10);
 
-// Same stage evaluated by replaying a recorded solve trace — the exact-hit
-// warm-start path the incremental engine takes on re-analysis. Zero Newton
-// iterations; cost is the region replay plus the residual acceptance check.
-void BM_QwmStackEvalWarm(benchmark::State& state) {
-  const int k = static_cast<int>(state.range(0));
-  auto& m = bench::models();
-  const auto stage = circuit::make_nmos_stack(
-      m.proc, std::vector<double>(k, 1.2e-6),
-      circuit::fanout_load_cap(m.proc));
-  const auto inputs = bench::step_inputs(stage);
-  const auto ms = m.set();
-  core::EvalWorkspace ws;
-  core::QwmOptions rec_opt;
-  rec_opt.record_trace = true;
-  const auto traced = core::evaluate_stage(stage, inputs, ms, rec_opt, ws);
-  core::QwmOptions opt;
-  opt.warm = &traced.qwm.trace;
-  for (auto _ : state)
-    benchmark::DoNotOptimize(core::evaluate_stage(stage, inputs, ms, opt, ws));
-}
-BENCHMARK(BM_QwmStackEvalWarm)->Arg(2)->Arg(6)->Arg(10);
-
 void BM_SpiceStackTransient(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   auto& m = bench::models();
@@ -183,17 +161,14 @@ struct KernelFlags {
   bool counters_only = false;
 };
 
-/// Deterministic counter mode: a pinned workload (NMOS stacks cold+warm,
-/// a 16-row decoder STA run) whose work counters the CI perf smoke
-/// compares against tools/perf_budget.json.
+/// Deterministic counter mode: a pinned workload (NMOS stacks, a 16-row
+/// decoder STA run at one and at three corners) whose work counters the
+/// CI perf smoke compares against tools/perf_budget.json.
 int run_counter_mode(const KernelFlags& kf) {
   using namespace qwm::bench;
   auto& m = models();
   const auto ms = m.set();
 
-  // Stack evals, cold (trace recorded) then warm (trace replayed). The
-  // replay sees identical inputs, so it must reproduce the delay
-  // bit-for-bit at (near) zero Newton work.
   std::vector<std::string> stack_json;
   std::uint64_t stack_newton = 0, stack_devev = 0, stack_fallback = 0;
   for (const int k : {2, 6, 10}) {
@@ -201,36 +176,22 @@ int run_counter_mode(const KernelFlags& kf) {
         m.proc, std::vector<double>(static_cast<std::size_t>(k), 1.2e-6),
         circuit::fanout_load_cap(m.proc));
     const auto inputs = step_inputs(stage);
-    core::QwmOptions cold_opt;
-    cold_opt.record_trace = true;
-    const core::StageTiming cold =
-        core::evaluate_stage(stage, inputs, ms, cold_opt);
-    core::QwmOptions warm_opt;
-    warm_opt.warm = &cold.qwm.trace;
-    const core::StageTiming warm =
-        core::evaluate_stage(stage, inputs, ms, warm_opt);
-    if (!cold.ok || !warm.ok) {
+    const core::StageTiming cold = core::evaluate_stage(stage, inputs, ms);
+    if (!cold.ok) {
       std::fprintf(stderr, "stack%d evaluation failed\n", k);
       return 1;
     }
     stack_newton += cold.qwm.stats.newton_iterations;
     stack_devev += cold.qwm.stats.device_evals;
-    stack_fallback += cold.qwm.stats.fallback_total() +
-                      warm.qwm.stats.fallback_total();
+    stack_fallback += cold.qwm.stats.fallback_total();
     stack_json.push_back(
         JsonObject()
             .integer("k", static_cast<std::uint64_t>(k))
             .num("delay", cold.delay.value_or(0.0))
             .integer("regions", cold.qwm.stats.regions)
             .integer("newton_cold", cold.qwm.stats.newton_iterations)
-            .integer("newton_warm", warm.qwm.stats.newton_iterations)
             .integer("device_evals_cold", cold.qwm.stats.device_evals)
-            .integer("device_evals_warm", warm.qwm.stats.device_evals)
             .integer("lu_fallbacks", cold.qwm.stats.lu_fallbacks)
-            .integer("warm_bit_identical",
-                     warm.delay.value_or(-1.0) == cold.delay.value_or(-2.0)
-                         ? 1
-                         : 0)
             .str());
   }
 
@@ -258,16 +219,33 @@ int run_counter_mode(const KernelFlags& kf) {
   const std::uint64_t ws_grow_steady =
       static_cast<std::uint64_t>(ws2.grow_events - ws1.grow_events);
 
-  // Same pinned decoder at all three process corners. The contract under
-  // test: the fast/slow lanes warm-start from the typical lane's traces,
-  // so the whole 3-corner analysis must stay under 2x the single-corner
-  // device-eval work (corner_amort_x100 < 200), not 3x.
+  // Same pinned decoder at all three process corners, and once per corner
+  // on its own. The contract under test: a corner lane is the
+  // single-corner engine at its corner, so the 3-corner engine's Newton
+  // iterations, device evaluations and memo misses equal the sums over
+  // the three single-corner engines exactly (corners3_vs_singles_diff,
+  // the summed absolute difference, stays 0).
   const qwm::device::CornerLibrary corner_lib(m.proc);
   qwm::sta::StaEngine corner_engine(design, corner_lib.sets(), sopt);
   corner_engine.run();
   const auto cqs = corner_engine.qwm_stats();
-  const std::uint64_t corner_amort_x100 =
-      qs.device_evals > 0 ? (100 * cqs.device_evals) / qs.device_evals : 0;
+  std::uint64_t singles_newton = 0, singles_devev = 0, singles_misses = 0;
+  for (const qwm::device::Corner c : corner_engine.corners()) {
+    qwm::sta::StaEngine single(
+        design,
+        qwm::device::CornerModelSet::single(corner_lib.set(c), c), sopt);
+    single.run();
+    singles_newton += single.qwm_stats().newton_iterations;
+    singles_devev += single.qwm_stats().device_evals;
+    singles_misses += single.cache_stats().misses;
+  }
+  const auto absdiff = [](std::uint64_t a, std::uint64_t b) {
+    return a > b ? a - b : b - a;
+  };
+  const std::uint64_t corners3_vs_singles_diff =
+      absdiff(cqs.newton_iterations, singles_newton) +
+      absdiff(cqs.device_evals, singles_devev) +
+      absdiff(corner_engine.cache_stats().misses, singles_misses);
 
   struct Live {
     const char* key;
@@ -286,7 +264,7 @@ int run_counter_mode(const KernelFlags& kf) {
       {"decoder_qwm_runs", cache.misses},
       {"corners3_newton_iters", cqs.newton_iterations},
       {"corners3_device_evals", cqs.device_evals},
-      {"corner_amort_x100", corner_amort_x100},
+      {"corners3_vs_singles_diff", corners3_vs_singles_diff},
       {"ws_grow_steady", ws_grow_steady},
       // Any nonzero value means a nominal workload needed the fallback
       // ladder — budgeted at 0: degradation on the pinned decks is a bug.
@@ -338,23 +316,6 @@ int run_counter_mode(const KernelFlags& kf) {
                                 .num("ns_per_op", sw * 1e9)
                                 .num("speedup_vs_cold", s / sw)
                                 .str());
-      // Incremental re-analysis hot path: replay a recorded trace through
-      // the persistent workspace (zero Newton iterations on an exact hit).
-      // Timed in the same process as the cold path so the ratio is immune
-      // to host frequency drift between runs.
-      core::QwmOptions rec_opt;
-      rec_opt.record_trace = true;
-      const auto traced = core::evaluate_stage(stage, inputs, ms, rec_opt, ws);
-      core::QwmOptions warm_opt;
-      warm_opt.warm = &traced.qwm.trace;
-      const double swarm = time_seconds(
-          [&] { core::evaluate_stage(stage, inputs, ms, warm_opt, ws); });
-      kernel_json.push_back(JsonObject()
-                                .str("name", "qwm_stack_eval_warm/" +
-                                                 std::to_string(k))
-                                .num("ns_per_op", swarm * 1e9)
-                                .num("speedup_vs_cold", s / swarm)
-                                .str());
     }
     for (const auto& j : kernel_json) std::printf("  %s\n", j.c_str());
   }
@@ -393,8 +354,6 @@ int run_counter_mode(const KernelFlags& kf) {
         .integer("device_evals", qs.device_evals)
         .integer("simd_batches", qs.simd_batches)
         .integer("simd_lanes_filled", qs.simd_lanes_filled)
-        .integer("warm_starts", qs.warm_starts)
-        .integer("warm_retries", qs.warm_retries)
         .integer("lu_fallbacks", qs.lu_fallbacks)
         .integer("fallback_nominal",
                  qs.fallback_counts[qwm::core::kRungNominal])
@@ -407,10 +366,8 @@ int run_counter_mode(const KernelFlags& kf) {
     corners3.integer("corners", 3)
         .integer("newton_iters", cqs.newton_iterations)
         .integer("device_evals", cqs.device_evals)
-        .integer("warm_starts", cqs.warm_starts)
-        .integer("warm_retries", cqs.warm_retries)
-        .integer("amort_x100", corner_amort_x100);
-    // Per-lane breakdown: where the cross-corner sharing pays (or fails to).
+        .integer("vs_singles_diff", corners3_vs_singles_diff);
+    // Per-lane breakdown.
     std::vector<std::string> lane_json;
     for (const qwm::device::Corner c : corner_engine.corners()) {
       const auto lqs = corner_engine.qwm_stats(c);
@@ -418,8 +375,6 @@ int run_counter_mode(const KernelFlags& kf) {
                               .str("corner", qwm::device::corner_name(c))
                               .integer("newton_iters", lqs.newton_iterations)
                               .integer("device_evals", lqs.device_evals)
-                              .integer("warm_starts", lqs.warm_starts)
-                              .integer("warm_retries", lqs.warm_retries)
                               .str());
     }
     corners3.raw("lanes", json_array(lane_json, "      "));

@@ -97,8 +97,6 @@ int run_gate_farm_section(const qwm::bench::StaBenchFlags& flags,
             .integer("bit_identical", same ? 1 : 0)
             .integer("newton_iters", qs.newton_iterations)
             .integer("device_evals", qs.device_evals)
-            .integer("warm_starts", qs.warm_starts)
-            .integer("warm_retries", qs.warm_retries)
             .integer("ws_high_water_bytes", ws.high_water_bytes)
             .integer("ws_grow_events", ws.grow_events)
             .str();
@@ -137,18 +135,9 @@ int main(int argc, char** argv) {
     ++n;
 
     if (!flags.json_path.empty()) {
-      // Warm-vs-cold work counters: a cold evaluation records its solve
-      // trace, then a second evaluation replays it. Same inputs, so the
-      // replay must reproduce the delay bit-for-bit at ~zero Newton work.
-      const auto inputs = step_inputs(stage);
-      core::QwmOptions cold_opt;
-      cold_opt.record_trace = true;
+      // Work counters of one evaluation of the gate.
       const core::StageTiming cold =
-          core::evaluate_stage(stage, inputs, models().set(), cold_opt);
-      core::QwmOptions warm_opt;
-      warm_opt.warm = &cold.qwm.trace;
-      const core::StageTiming warm =
-          core::evaluate_stage(stage, inputs, models().set(), warm_opt);
+          core::evaluate_stage(stage, step_inputs(stage), models().set());
       gate_json.push_back(
           JsonObject()
               .str("name", name)
@@ -161,15 +150,7 @@ int main(int argc, char** argv) {
               .num("spice_delay", row.spice_delay)
               .num("delay_err_pct", row.delay_error_pct)
               .integer("newton_cold", cold.qwm.stats.newton_iterations)
-              .integer("newton_warm", warm.qwm.stats.newton_iterations)
               .integer("device_evals_cold", cold.qwm.stats.device_evals)
-              .integer("device_evals_warm", warm.qwm.stats.device_evals)
-              .integer("warm_bit_identical",
-                       warm.ok && cold.ok &&
-                               warm.delay.value_or(-1.0) ==
-                                   cold.delay.value_or(-2.0)
-                           ? 1
-                           : 0)
               .str());
     }
   }

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <cstdio>
+#include <string>
 
 #include "qwm/core/spice_fallback.h"
 #include "qwm/core/workspace.h"
@@ -87,26 +87,6 @@ class Engine {
   double batch_pm_ = 1.0;
   double batch_vdd_ = 0.0;
 
-  // Warm-start state: replay cursor into opt_.warm.
-  int trace_next_ = 0;
-  /// Running region-length and alpha scales for cross-condition replay
-  /// (negative = not yet primed). Both start from options.warm_scale — a
-  /// first-order drive-ratio estimate (lengths scale by s, the ramp-rate
-  /// alphas by 1/s^2) — then track the measured converged/recorded ratio
-  /// region to region, so the seed self-corrects along the waveform
-  /// instead of trusting the static estimate everywhere. Only active when
-  /// options.warm_scale != 1: verbatim same-condition replay stays
-  /// bit-identical to the unscaled path.
-  double warm_scale_run_ = -1.0;
-  double warm_alpha_run_ = -1.0;
-  /// Active count at the last plain (depth-0 tail) solve_region commit,
-  /// -1 when the incremental region-start currents in i_ are stale (after
-  /// a turn-on boundary, a sub-step, or a fallback/cubic commit). While
-  /// >= the next region's active count, i_ equals the device currents at
-  /// the committed state to within the Newton tolerance, so a
-  /// cross-corner replay region can skip the update_currents re-eval.
-  int i_fresh_active_ = -1;
-
   /// Fallback-ladder rung 1: solve_region widens the Newton budget
   /// (double the iterations, triple the backtracks) while this is set.
   bool damped_ = false;
@@ -152,16 +132,8 @@ class Engine {
   void record_region(double t0, double dt, int active,
                      const std::vector<double>& accel,
                      const std::vector<double>& slope);
-  /// warm_dt > 0 overrides the warm seed's region length (used by the
-  /// intra-path seed, whose alphas come from the previous region but
-  /// whose length estimate from the current state is better).
-  /// warm_alpha_scale multiplies the seed's recorded alphas — the
-  /// cross-condition mapping onto the new condition's current scale
-  /// (1.0 = same-condition replay, seeded verbatim).
   bool solve_region(int active, int boundary_elem, double v_target,
-                    int target_node, double delta_guess,
-                    const WarmTrace::Region* warm, double warm_dt = 0.0,
-                    double warm_alpha_scale = 1.0);
+                    int target_node, double delta_guess);
   /// The r = 2 generalization (paper's "r time points"): quadratic node
   /// currents / cubic voltages, matched at the region midpoint and
   /// endpoint. Dense per-region solve over 2*active+1 unknowns.
@@ -191,10 +163,6 @@ class Engine {
   void region_assemble(const numeric::Vector& xx);
   bool region_step(const numeric::Vector& xx, const numeric::Vector& f,
                    numeric::Vector& dx);
-  /// Bookkeeping shared by the r = 1 and r = 2 commits: advances the
-  /// replay cursor and records the trace entry.
-  void note_commit(double dt, const numeric::Vector& xv, int active,
-                   bool placeholder);
 
   void fail(const std::string& msg) {
     res_.ok = false;
@@ -560,15 +528,6 @@ bool Engine::region_residual(const numeric::Vector& xx, numeric::Vector& f) {
         kBoundaryScale * turn_on_residual(rc_.boundary_elem, ws_.vv, t1);
   else
     f[rc_.active] = kBoundaryScale * (ws_.vv[rc_.target_node] - rc_.v_target);
-  if (opt_.trace) {
-    std::fprintf(stderr, "[qwm] tau=%.3e x=[", tau_);
-    for (int i2 = 0; i2 < n; ++i2) std::fprintf(stderr, " %.4e", xx[i2]);
-    std::fprintf(stderr, " ] F=[");
-    for (int i2 = 0; i2 < n; ++i2) std::fprintf(stderr, " %.4e", f[i2]);
-    std::fprintf(stderr, " ] V=[");
-    for (int k = 1; k <= m_; ++k) std::fprintf(stderr, " %.4f", ws_.vv[k]);
-    std::fprintf(stderr, " ]\n");
-  }
   return true;
 }
 
@@ -741,33 +700,8 @@ bool Engine::region_step(const numeric::Vector& xx, const numeric::Vector& f,
   return true;
 }
 
-void Engine::note_commit(double dt, const numeric::Vector& xv, int active,
-                         bool placeholder) {
-  // Cross-condition replay feedback: fold the observed length ratio of
-  // the region just committed into the scale that seeds the next one.
-  // (The alpha seed keeps its static 1/s^2 prior: measured region-to-
-  // region alpha ratios are too noisy — turn-on and tail regions map
-  // differently — and feeding them back costs iterations.)
-  if (opt_.warm_scale != 1.0 && !placeholder && opt_.warm != nullptr &&
-      trace_next_ < static_cast<int>(opt_.warm->regions.size())) {
-    const WarmTrace::Region& r = opt_.warm->regions[trace_next_];
-    if (r.delta > 0.0 && dt > 0.0)
-      warm_scale_run_ = std::clamp(dt / r.delta, 0.1, 10.0);
-  }
-  ++trace_next_;
-  if (!opt_.record_trace) return;
-  WarmTrace::Region r;
-  if (!placeholder) {
-    r.delta = dt;
-    r.alphas.assign(xv.begin(), xv.begin() + active);
-  }
-  res_.trace.regions.push_back(std::move(r));
-}
-
 bool Engine::solve_region(int active, int boundary_elem, double v_target,
-                          int target_node, double delta_guess,
-                          const WarmTrace::Region* warm, double warm_dt,
-                          double warm_alpha_scale) {
+                          int target_node, double delta_guess) {
   // In cubic mode this r = 1 solver still handles turn-on regions and
   // recovery sub-steps; those use the quadratic waveform.
   const bool quad = opt_.model != RegionModel::linear;
@@ -788,80 +722,50 @@ bool Engine::solve_region(int active, int boundary_elem, double v_target,
 
   numeric::Vector& xv = ws_.xv;
   xv.assign(n, 0.0);
-  if (warm != nullptr) {
-    // Warm start: the previous region's (or a replay trace's) converged
-    // parameters are already inside the physical root's basin, so the
-    // end-current probes — pure device-eval overhead — are skipped. The
-    // converged solution is still pinned by the same residual/tolerance.
-    ++res_.stats.warm_starts;
-    for (int k = 1; k <= active; ++k)
-      xv[k - 1] = warm->alphas[k - 1] * warm_alpha_scale;
-    xv[active] = warm_dt > 0.0 ? warm_dt
-                               : std::clamp(warm->delta, 1e-14, 2e-9);
-    if (opt_.trace)
-      std::fprintf(stderr,
-                   "[qwm] region start tau=%.3e active=%d belem=%d warm "
-                   "delta=%.3e\n",
-                   tau_, active, boundary_elem, xv[active]);
-  } else {
-    // i_[1..active] holds the region-start node currents (update_currents
-    // ran in the caller). For a *turn-on* region the start currents are ~0
-    // (the transistor is exactly at threshold) and a zero-alpha guess would
-    // sit on the Jacobian's degenerate point — seed from a probe of the
-    // end-of-region currents instead. Tail regions start with substantial
-    // currents, so the cheap zero-alpha seed is already well-conditioned
-    // and the probe is skipped (it is the hot path: most regions are tail
-    // matching points).
-    // Probe the end-of-region currents and refine the Delta guess with the
-    // governing node's average current; the probe and the region length are
-    // mutually dependent, so turn-on regions (whose start currents are ~0 —
-    // the critical transistor sits exactly at threshold) iterate twice,
-    // tails once. Consistent seeds keep the Newton iteration inside the
-    // physical root's basin — the quadratic waveform model admits spurious
-    // roots.
-    std::vector<double>& i_probe = ws_.i_probe;
-    probe_end_currents(active, delta_guess, i_probe);
-    {
-      const int kb = (boundary_elem >= 0) ? boundary_elem : target_node;
-      const int passes = (boundary_elem >= 0) ? 2 : 1;
-      if (kb >= 1 && kb <= active) {
-        for (int pass = 0; pass < passes; ++pass) {
-          double dv;
-          if (boundary_elem >= 0) {
-            const Element& el = prob_.elements[boundary_elem];
-            device::TerminalVoltages tv;
-            tv.input = gate_voltage(el, tau_ + delta_guess);
-            tv.src = tv.snk = v_[kb];
-            const double vth = el.model->threshold(tv);
-            dv = (prob_.discharge ? tv.input - vth : tv.input + vth) - v_[kb];
-          } else {
-            dv = v_target - v_[kb];
-          }
-          const double slope =
-              0.5 * (i_[kb] + i_probe[kb]) / prob_.node_caps[kb - 1];
-          if (!(std::abs(slope) > 1e-3)) break;
-          const double dt = dv / slope;
-          if (!(dt > 0.0) || !std::isfinite(dt)) break;
-          delta_guess = std::clamp(dt, 1e-14, 2e-9);
-          probe_end_currents(active, delta_guess, i_probe);
+  // i_[1..active] holds the region-start node currents (update_currents
+  // ran in the caller). For a *turn-on* region the start currents are ~0
+  // (the transistor is exactly at threshold) and a zero-alpha guess would
+  // sit on the Jacobian's degenerate point — seed from a probe of the
+  // end-of-region currents instead.
+  // Probe the end-of-region currents and refine the Delta guess with the
+  // governing node's average current; the probe and the region length are
+  // mutually dependent, so turn-on regions (whose start currents are ~0 —
+  // the critical transistor sits exactly at threshold) iterate twice,
+  // tails once. Consistent seeds keep the Newton iteration inside the
+  // physical root's basin — the quadratic waveform model admits spurious
+  // roots.
+  std::vector<double>& i_probe = ws_.i_probe;
+  probe_end_currents(active, delta_guess, i_probe);
+  {
+    const int kb = (boundary_elem >= 0) ? boundary_elem : target_node;
+    const int passes = (boundary_elem >= 0) ? 2 : 1;
+    if (kb >= 1 && kb <= active) {
+      for (int pass = 0; pass < passes; ++pass) {
+        double dv;
+        if (boundary_elem >= 0) {
+          const Element& el = prob_.elements[boundary_elem];
+          device::TerminalVoltages tv;
+          tv.input = gate_voltage(el, tau_ + delta_guess);
+          tv.src = tv.snk = v_[kb];
+          const double vth = el.model->threshold(tv);
+          dv = (prob_.discharge ? tv.input - vth : tv.input + vth) - v_[kb];
+        } else {
+          dv = v_target - v_[kb];
         }
+        const double slope =
+            0.5 * (i_[kb] + i_probe[kb]) / prob_.node_caps[kb - 1];
+        if (!(std::abs(slope) > 1e-3)) break;
+        const double dt = dv / slope;
+        if (!(dt > 0.0) || !std::isfinite(dt)) break;
+        delta_guess = std::clamp(dt, 1e-14, 2e-9);
+        probe_end_currents(active, delta_guess, i_probe);
       }
     }
-    for (int k = 1; k <= active; ++k)
-      xv[k - 1] = quad ? (i_probe[k] - i_[k]) / std::max(delta_guess, 1e-14)
-                       : i_probe[k];
-    xv[active] = delta_guess;
-    if (opt_.trace) {
-      std::fprintf(stderr, "[qwm] region start tau=%.3e active=%d belem=%d "
-                   "dguess=%.3e\n  i_=[", tau_, active, boundary_elem,
-                   delta_guess);
-      for (int k = 1; k <= active; ++k) std::fprintf(stderr, " %.3e", i_[k]);
-      std::fprintf(stderr, " ] i_probe=[");
-      for (int k = 1; k <= active; ++k)
-        std::fprintf(stderr, " %.3e", i_probe[k]);
-      std::fprintf(stderr, " ]\n");
-    }
   }
+  for (int k = 1; k <= active; ++k)
+    xv[k - 1] = quad ? (i_probe[k] - i_[k]) / std::max(delta_guess, 1e-14)
+                     : i_probe[k];
+  xv[active] = delta_guess;
 
   numeric::NewtonOptions nopt;
   nopt.max_iterations =
@@ -909,12 +813,6 @@ bool Engine::solve_region(int active, int boundary_elem, double v_target,
   tau_ += dt;
   res_.critical_times.push_back(tau_);
   ++res_.stats.regions;
-
-  // A committed tail region leaves i_ current to within the Newton
-  // tolerance; a turn-on boundary activates a new element next, so the
-  // incremental state is stale.
-  i_fresh_active_ = boundary_elem < 0 ? active : -1;
-  note_commit(dt, xv, active, /*placeholder=*/false);
   return true;
 }
 
@@ -1168,8 +1066,6 @@ bool Engine::solve_region_cubic(int active, int boundary_elem,
   tau_ += dt;
   res_.critical_times.push_back(tau_);
   ++res_.stats.regions;
-  i_fresh_active_ = -1;
-  note_commit(dt, xv, A, /*placeholder=*/true);
   return true;
 }
 
@@ -1179,24 +1075,7 @@ bool Engine::solve_region_adaptive(int active, int boundary_elem,
   // A committed sub-step may already have carried the state past this
   // region's objective (the transistor turned on mid-substep, or the
   // target level was crossed): the boundary time is *now*.
-  //
-  // Cross-corner replay exception: when this is a depth-0 tail region
-  // with a shape-matching replay entry and the incremental region-start
-  // currents are fresh (previous commit was a plain tail solve covering
-  // at least this active set), i_ already equals the device currents at
-  // the committed state to within the Newton tolerance — the re-eval is
-  // pure device-eval overhead and is skipped. Same-condition replay
-  // (warm_scale == 1) keeps the re-eval so its results stay bit-identical
-  // to the cold path.
-  bool fresh_currents = false;
-  if (opt_.warm_scale != 1.0 && opt_.warm_start && opt_.warm != nullptr &&
-      depth == 0 && boundary_elem < 0 && i_fresh_active_ >= active &&
-      trace_next_ < static_cast<int>(opt_.warm->regions.size())) {
-    const WarmTrace::Region& r = opt_.warm->regions[trace_next_];
-    fresh_currents =
-        static_cast<int>(r.alphas.size()) == active && r.delta > 0.0;
-  }
-  if (!fresh_currents) update_currents(active);
+  update_currents(active);
   if (boundary_elem >= 0) {
     if (turn_on_residual(boundary_elem, v_, tau_) >= 0.0) return true;
   } else {
@@ -1208,15 +1087,6 @@ bool Engine::solve_region_adaptive(int active, int boundary_elem,
   }
   const double guess =
       estimate_delta(active, boundary_elem, v_target, target_node);
-  if (opt_.trace) {
-    std::fprintf(stderr,
-                 "[qwm] region tau=%.3e active=%d belem=%d tgt=%d "
-                 "vt=%.3f guess=%.3e depth=%d V=[",
-                 tau_, active, boundary_elem, target_node, v_target, guess,
-                 depth);
-    for (int k = 1; k <= m_; ++k) std::fprintf(stderr, " %.3f", v_[k]);
-    std::fprintf(stderr, " ]\n");
-  }
   // The cubic (r = 2) model is applied to the top-level tail regions,
   // where its two matching points let the ladder be much coarser. Turn-on
   // regions and failure-recovery sub-steps stay on the r = 1 model: they
@@ -1224,47 +1094,11 @@ bool Engine::solve_region_adaptive(int active, int boundary_elem,
   // (wiggling) roots over the long, strongly-nonlinear turn-on spans.
   const bool use_cubic = opt_.model == RegionModel::cubic &&
                          boundary_elem < 0 && depth == 0;
-
-  // Warm seed: the replay trace's entry for this commit index, used only
-  // when its shape matches.
-  const WarmTrace::Region* warm = nullptr;
-  double warm_dt = 0.0;
-  double warm_alpha_scale = 1.0;
-  if (opt_.warm_start && !use_cubic) {
-    if (opt_.warm != nullptr &&
-        trace_next_ < static_cast<int>(opt_.warm->regions.size())) {
-      const WarmTrace::Region& r = opt_.warm->regions[trace_next_];
-      if (static_cast<int>(r.alphas.size()) == active && r.delta > 0.0) {
-        warm = &r;  // replay: the recorded length is the best estimate...
-        if (opt_.warm_scale != 1.0) {  // ...rescaled onto this time scale
-          if (warm_scale_run_ < 0.0) warm_scale_run_ = opt_.warm_scale;
-          if (warm_alpha_run_ < 0.0) {
-            // First-order prior: durations scale by s, currents by 1/s —
-            // so the quad model's ramp-rate alphas scale by 1/s^2.
-            const double s = opt_.warm_scale;
-            warm_alpha_run_ =
-                opt_.model != RegionModel::linear ? 1.0 / (s * s) : 1.0 / s;
-          }
-          warm_dt = std::clamp(r.delta * warm_scale_run_, 1e-14, 2e-9);
-          warm_alpha_scale = warm_alpha_run_;
-        }
-      }
-    }
-  }
-
-  bool solved =
+  const bool solved =
       use_cubic
           ? solve_region_cubic(active, boundary_elem, v_target, target_node,
                                guess)
-          : solve_region(active, boundary_elem, v_target, target_node, guess,
-                         warm, warm_dt, warm_alpha_scale);
-  if (!solved && warm != nullptr) {
-    // A warm seed must never cost a result the cold seed would find:
-    // retry once from the probe-based seed before declaring failure.
-    ++res_.stats.warm_retries;
-    solved = solve_region(active, boundary_elem, v_target, target_node, guess,
-                          nullptr);
-  }
+          : solve_region(active, boundary_elem, v_target, target_node, guess);
   if (solved) return true;
   if (depth >= 10) return false;
 
@@ -1416,10 +1250,6 @@ bool Engine::solve_region_bisect(int active, int boundary_elem,
     accel[k] = 0.5 * alphas[k] / c;
   }
   record_region(tau_, dt, active, accel, slope);
-  numeric::Vector& xv = ws_.xv;
-  xv.assign(active + 1, 0.0);
-  for (int k = 1; k <= active; ++k) xv[k - 1] = alphas[k];
-  xv[active] = dt;
   for (int k = 1; k <= active; ++k) {
     v_[k] = vv[k];
     i_[k] += alphas[k] * dt;
@@ -1427,8 +1257,6 @@ bool Engine::solve_region_bisect(int active, int boundary_elem,
   tau_ += dt;
   res_.critical_times.push_back(tau_);
   ++res_.stats.regions;
-  i_fresh_active_ = -1;
-  note_commit(dt, xv, active, /*placeholder=*/true);
   return true;
 }
 
@@ -1567,8 +1395,8 @@ QwmResult Engine::run() {
         res_.tail_truncated = true;
         break;
       }
-      // Fallback ladder. Rung 0 (everything above: plain NR with warm
-      // retry and adaptive splitting) has failed; the recovery rungs run
+      // Fallback ladder. Rung 0 (everything above: plain NR with
+      // adaptive splitting) has failed; the recovery rungs run
       // under a ScopedRung so injected faults can be scoped away from
       // them, and any result they produce is flagged degraded.
       bool recovered = false;

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "qwm/circuit/path.h"
-#include "qwm/core/warm_trace.h"
 #include "qwm/core/waveform.h"
 #include "qwm/numeric/pwl.h"
 
@@ -77,32 +76,6 @@ struct QwmOptions {
   /// path-build time). Bit-identical to the scalar per-device path — the
   /// toggle exists for the equivalence tests and ablation.
   bool batch_device_eval = true;
-  /// Newton warm starts from a replay trace: when `warm` is supplied,
-  /// each region's solve is seeded with the previously converged
-  /// parameters instead of the end-current probe. A same-input replay
-  /// converges in zero iterations and reproduces the cold result
-  /// bit-for-bit; a replay from a nearby operating point (a slightly
-  /// different slew or load) roughly halves the Newton iteration and
-  /// device-evaluation counts. A region
-  /// that fails from a warm seed is retried cold before being declared
-  /// failed.
-  bool warm_start = true;
-  /// Record the converged per-region solutions into QwmResult::trace
-  /// (the STA replays the typical corner's trace on its sibling corners).
-  bool record_trace = false;
-  /// Optional replay seed from a previous evaluation of a structurally
-  /// identical problem at a nearby operating point. Not owned; must
-  /// outlive the call. Ignored unless warm_start is set.
-  const WarmTrace* warm = nullptr;
-  /// Scale applied to the replayed region lengths of `warm`. A trace
-  /// recorded at a different operating condition (another process corner)
-  /// has the right waveform *shape* but systematically wrong region
-  /// *durations*; seeding with the drive-strength ratio applied brings the
-  /// Newton start point onto the new corner's time scale. 1.0 = replay
-  /// the recorded lengths verbatim (same-condition replay).
-  double warm_scale = 1.0;
-  /// Prints the per-iteration Newton trajectory to stderr (debugging).
-  bool trace = false;
 };
 
 /// Rung indices of the fallback ladder (QwmStats::fallback_counts).
@@ -123,8 +96,6 @@ struct QwmStats {
   std::size_t linear_solves = 0;
   std::size_t device_evals = 0;
   std::size_t lu_fallbacks = 0;   ///< tridiagonal path bailed to dense LU
-  std::size_t warm_starts = 0;    ///< region solves seeded warm
-  std::size_t warm_retries = 0;   ///< warm seeds that fell back to cold
   /// Batched device-eval groups issued to the frame kernel, counted in
   /// kernel::kSimdWidth-lane groups (ceil(n / width) per batch call), and
   /// the useful lanes inside them. Both are computed from batch sizes with
@@ -150,8 +121,6 @@ struct QwmStats {
     linear_solves += o.linear_solves;
     device_evals += o.device_evals;
     lu_fallbacks += o.lu_fallbacks;
-    warm_starts += o.warm_starts;
-    warm_retries += o.warm_retries;
     simd_batches += o.simd_batches;
     simd_lanes_filled += o.simd_lanes_filled;
     for (int r = 0; r < kFallbackRungs; ++r)
@@ -185,8 +154,6 @@ struct QwmResult {
   /// tail matching points.
   std::vector<double> critical_times;
   QwmStats stats;
-  /// Converged per-region solutions (populated when options.record_trace).
-  WarmTrace trace;
 
   const PiecewiseQuadWaveform& output_waveform() const {
     return node_waveforms.back();

@@ -50,7 +50,6 @@ bool spice_fallback_evaluate(const circuit::PathProblem& problem,
     out.finish(w.last_time(), w.last_value());
   }
   res.critical_times.assign(1, topt.t_stop);
-  res.trace = WarmTrace{};  // simulated waveforms cannot seed warm replays
   res.tail_truncated = false;
   res.stats.newton_iterations += tr.stats.nr_iterations;
   res.stats.linear_solves += tr.stats.linear_solves;

@@ -79,59 +79,6 @@ StageTiming evaluate_stage(const circuit::BuiltStage& built,
                         built.switching_input, models, options, ws);
 }
 
-std::vector<StageTiming> evaluate_stage_corners(
-    const circuit::LogicStage& stage, circuit::NodeId output,
-    bool output_falls, const std::vector<numeric::PwlWaveform>& inputs,
-    circuit::InputId switching_input, const device::CornerModelSet& models,
-    const QwmOptions& options) {
-  EvalWorkspace ws;
-  return evaluate_stage_corners(stage, output, output_falls, inputs,
-                                switching_input, models, options, ws);
-}
-
-std::vector<StageTiming> evaluate_stage_corners(
-    const circuit::LogicStage& stage, circuit::NodeId output,
-    bool output_falls, const std::vector<numeric::PwlWaveform>& inputs,
-    circuit::InputId switching_input, const device::CornerModelSet& models,
-    const QwmOptions& options, EvalWorkspace& ws) {
-  std::vector<StageTiming> out;
-  out.reserve(models.count());
-
-  QwmOptions primary_opt = options;
-  if (models.multi()) primary_opt.record_trace = true;
-  out.push_back(evaluate_stage(stage, output, output_falls, inputs,
-                               switching_input, models.primary(), primary_opt,
-                               ws));
-
-  // A degraded primary came off the fallback ladder; its trajectory is not
-  // a trustworthy seed, so sibling corners solve cold in that case. (A warm
-  // solve that diverges retries cold anyway — this just skips the detour.)
-  const StageTiming& primary = out.front();
-  const bool seed = primary.ok && !primary.qwm.degraded &&
-                    !primary.qwm.trace.regions.empty();
-  for (std::size_t s = 1; s < models.corners.size(); ++s) {
-    QwmOptions lane_opt = options;
-    if (seed) {
-      lane_opt.warm = &primary.qwm.trace;
-      lane_opt.warm_scale = device::warm_time_scale(
-          models.primary(), models.at(models.corners[s]));
-    }
-    out.push_back(evaluate_stage(stage, output, output_falls, inputs,
-                                 switching_input, models.at(models.corners[s]),
-                                 lane_opt, ws));
-  }
-  return out;
-}
-
-std::vector<StageTiming> evaluate_stage_corners(
-    const circuit::BuiltStage& built,
-    const std::vector<numeric::PwlWaveform>& inputs,
-    const device::CornerModelSet& models, const QwmOptions& options) {
-  return evaluate_stage_corners(built.stage, built.output, built.output_falls,
-                                inputs, built.switching_input, models,
-                                options);
-}
-
 namespace {
 
 /// Fills delay/slew of an OutputTiming from its waveform.

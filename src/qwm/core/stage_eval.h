@@ -56,33 +56,6 @@ StageTiming evaluate_stage(const circuit::BuiltStage& built,
                            const device::ModelSet& models,
                            const QwmOptions& options, EvalWorkspace& ws);
 
-/// Multi-corner stage evaluation: one StageTiming per active corner of
-/// `models`, in models.corners order. The primary (first) corner runs
-/// first with trace recording forced on; every other corner seeds its
-/// Newton solves from the primary's converged trace (cross-corner warm
-/// start — corner derivation only rescales currents, so the typical
-/// solution is an excellent starting point). Each corner's result is
-/// still pinned by its own residual and tolerance, so values match a
-/// cold per-corner evaluation at solver-tolerance level, but N corners
-/// cost far fewer iterations than N cold solves.
-std::vector<StageTiming> evaluate_stage_corners(
-    const circuit::LogicStage& stage, circuit::NodeId output,
-    bool output_falls, const std::vector<numeric::PwlWaveform>& inputs,
-    circuit::InputId switching_input, const device::CornerModelSet& models,
-    const QwmOptions& options = {});
-
-std::vector<StageTiming> evaluate_stage_corners(
-    const circuit::LogicStage& stage, circuit::NodeId output,
-    bool output_falls, const std::vector<numeric::PwlWaveform>& inputs,
-    circuit::InputId switching_input, const device::CornerModelSet& models,
-    const QwmOptions& options, EvalWorkspace& ws);
-
-/// Convenience for builder results.
-std::vector<StageTiming> evaluate_stage_corners(
-    const circuit::BuiltStage& built,
-    const std::vector<numeric::PwlWaveform>& inputs,
-    const device::CornerModelSet& models, const QwmOptions& options = {});
-
 /// Timing of one declared stage output within a multi-output evaluation.
 struct OutputTiming {
   circuit::NodeId node = -1;

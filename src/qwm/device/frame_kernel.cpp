@@ -18,18 +18,10 @@ namespace qwm::device::kernel {
 void eval_frames_scalar(const CharacterizationGrid& g, std::size_t n,
                         const double* vg, const double* vs, const double* vd,
                         FrameEval* out);
-void eval_frames_multi_scalar(const CharacterizationGrid* const* grids,
-                              std::size_t grid_count, std::size_t n,
-                              const double* vg, const double* vs,
-                              const double* vd, FrameEval* const* out);
 #if QWM_KERNEL_HAS_AVX2
 void eval_frames_avx2(const CharacterizationGrid& g, std::size_t n,
                       const double* vg, const double* vs, const double* vd,
                       FrameEval* out);
-void eval_frames_multi_avx2(const CharacterizationGrid* const* grids,
-                            std::size_t grid_count, std::size_t n,
-                            const double* vg, const double* vs,
-                            const double* vd, FrameEval* const* out);
 #endif
 
 namespace {
@@ -106,20 +98,6 @@ void eval_frames(const CharacterizationGrid& g, std::size_t n,
   }
 #endif
   eval_frames_scalar(g, n, vg, vs, vd, out);
-}
-
-void eval_frames_multi(const CharacterizationGrid* const* grids,
-                       std::size_t grid_count, std::size_t n,
-                       const double* vg, const double* vs, const double* vd,
-                       FrameEval* const* out) {
-  if (grid_count == 0) return;
-#if QWM_KERNEL_HAS_AVX2
-  if (active_backend() == Backend::avx2) {
-    eval_frames_multi_avx2(grids, grid_count, n, vg, vs, vd, out);
-    return;
-  }
-#endif
-  eval_frames_multi_scalar(grids, grid_count, n, vg, vs, vd, out);
 }
 
 }  // namespace qwm::device::kernel

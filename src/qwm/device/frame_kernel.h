@@ -62,13 +62,4 @@ void eval_frames(const CharacterizationGrid& g, std::size_t n,
                  const double* vg, const double* vs, const double* vd,
                  FrameEval* out);
 
-/// Corner-lane variant: one locate on grids[0]'s axes shared by every
-/// grid, then a per-grid blend. Precondition (checked by the caller):
-/// every grid shares grids[0]'s axes. out[m][k] is bit-identical to
-/// eval_frames(*grids[m], ...) on every backend.
-void eval_frames_multi(const CharacterizationGrid* const* grids,
-                       std::size_t grid_count, std::size_t n,
-                       const double* vg, const double* vs, const double* vd,
-                       FrameEval* const* out);
-
 }  // namespace qwm::device::kernel

@@ -151,7 +151,7 @@ struct Blend4 {
   __m256d i, d_vg, d_vs, d_vd;
 };
 
-/// Four-lane frame_blend over one grid at already-located cells. `off00`
+/// Four-lane form of frame_lookup's blend at already-located cells. `off00`
 /// is the double-strided offset of the (i0, i1) corner point.
 /// Per-call hoisted axis reciprocals (locate scale and derivative scale
 /// share the same 1/dx values).
@@ -230,7 +230,7 @@ inline void store4(const Blend4& b, FrameEval* out) {
   _mm256_storeu_pd(&out[3].i, _mm256_permute2f128_pd(t1, t3, 0x31));
 }
 
-/// Shared locate for one 4-lane group: cell offsets + weights + u.
+/// Locate for one 4-lane group: cell offsets + weights + u.
 struct Group4 {
   __m128i off00;
   __m256d f0, f1, u;
@@ -278,44 +278,6 @@ void eval_frames_avx2(const CharacterizationGrid& g, std::size_t n,
       for (; k < n; ++k)
         out[k] = detail::frame_lookup(g, vg[k], vs[k], vd[k]);
     }
-  }
-}
-
-void eval_frames_multi_avx2(const CharacterizationGrid* const* grids,
-                            std::size_t grid_count, std::size_t n,
-                            const double* vg, const double* vs,
-                            const double* vd, FrameEval* const* out) {
-  const CharacterizationGrid& g0 = *grids[0];
-  const AxisInv inv = axis_inv(g0);  // axes match by precondition
-  std::size_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    // Located once on the shared axes, blended per grid — the cell
-    // offsets are valid for every grid because the axes (and therefore
-    // vg_axis.n) match by precondition.
-    const Group4 grp = locate_group(g0, inv, vg + k, vs + k, vd + k);
-    for (std::size_t m = 0; m < grid_count; ++m)
-      store4(blend4(*grids[m], inv, grp.off00, grp.f0, grp.f1, grp.u),
-             out[m] + k);
-  }
-  if (k < n && n >= 4) {
-    // Overlapped tail (see eval_frames_avx2): identical bits, fewer ops.
-    k = n - 4;
-    const Group4 grp = locate_group(g0, inv, vg + k, vs + k, vd + k);
-    for (std::size_t m = 0; m < grid_count; ++m)
-      store4(blend4(*grids[m], inv, grp.off00, grp.f0, grp.f1, grp.u),
-             out[m] + k);
-    return;
-  }
-  const double inv_vs_dx = 1.0 / g0.vs_axis.dx;
-  const double inv_vg_dx = 1.0 / g0.vg_axis.dx;
-  for (; k < n; ++k) {
-    const double u = vd[k] - vs[k];
-    std::size_t i0, i1;
-    double f0, f1;
-    detail::kernel_locate(g0.vs_axis, inv_vs_dx, vs[k], i0, f0);
-    detail::kernel_locate(g0.vg_axis, inv_vg_dx, vg[k], i1, f1);
-    for (std::size_t m = 0; m < grid_count; ++m)
-      out[m][k] = detail::frame_blend(*grids[m], i0, f0, i1, f1, u);
   }
 }
 

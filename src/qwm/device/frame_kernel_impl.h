@@ -40,11 +40,15 @@ inline void kernel_locate(const numeric::UniformAxis& a, double inv_dx,
   frac = t - static_cast<double>(idx);
 }
 
-/// The located half of the lookup: blend arithmetic at an already
-/// resolved grid cell. Split out so the corner-lane path can locate once
-/// and blend per grid.
-inline FrameEval frame_blend(const CharacterizationGrid& g, std::size_t i0,
-                             double f0, std::size_t i1, double f1, double u) {
+/// One interpolated lookup in the NMOS frame with vd >= vs.
+inline FrameEval frame_lookup(const CharacterizationGrid& g, double vg,
+                              double vs, double vd) {
+  assert(vd >= vs);
+  const double u = vd - vs;
+  std::size_t i0, i1;
+  double f0, f1;
+  kernel_locate(g.vs_axis, 1.0 / g.vs_axis.dx, vs, i0, f0);
+  kernel_locate(g.vg_axis, 1.0 / g.vg_axis.dx, vg, i1, f1);
   const CharacterizedPoint& p00 = g.at(i0, i1);
   const CharacterizedPoint& p01 = g.at(i0, i1 + 1);
   const CharacterizedPoint& p10 = g.at(i0 + 1, i1);
@@ -82,18 +86,6 @@ inline FrameEval frame_blend(const CharacterizationGrid& g, std::size_t i0,
   out.d_vs = di_dvs_axis - di_du;
   out.d_vg = di_dvg_axis;
   return out;
-}
-
-/// One interpolated lookup in the NMOS frame with vd >= vs.
-inline FrameEval frame_lookup(const CharacterizationGrid& g, double vg,
-                              double vs, double vd) {
-  assert(vd >= vs);
-  const double u = vd - vs;
-  std::size_t i0, i1;
-  double f0, f1;
-  kernel_locate(g.vs_axis, 1.0 / g.vs_axis.dx, vs, i0, f0);
-  kernel_locate(g.vg_axis, 1.0 / g.vg_axis.dx, vg, i1, f1);
-  return frame_blend(g, i0, f0, i1, f1, u);
 }
 
 }  // namespace qwm::device::kernel::detail

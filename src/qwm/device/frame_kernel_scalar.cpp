@@ -12,23 +12,4 @@ void eval_frames_scalar(const CharacterizationGrid& g, std::size_t n,
     out[k] = detail::frame_lookup(g, vg[k], vs[k], vd[k]);
 }
 
-void eval_frames_multi_scalar(const CharacterizationGrid* const* grids,
-                              std::size_t grid_count, std::size_t n,
-                              const double* vg, const double* vs,
-                              const double* vd, FrameEval* const* out) {
-  const CharacterizationGrid& g0 = *grids[0];
-  const double inv_vs_dx = 1.0 / g0.vs_axis.dx;
-  const double inv_vg_dx = 1.0 / g0.vg_axis.dx;
-  for (std::size_t k = 0; k < n; ++k) {
-    // Located once on the shared axes, blended per grid.
-    const double u = vd[k] - vs[k];
-    std::size_t i0, i1;
-    double f0, f1;
-    detail::kernel_locate(g0.vs_axis, inv_vs_dx, vs[k], i0, f0);
-    detail::kernel_locate(g0.vg_axis, inv_vg_dx, vg[k], i1, f1);
-    for (std::size_t m = 0; m < grid_count; ++m)
-      out[m][k] = detail::frame_blend(*grids[m], i0, f0, i1, f1, u);
-  }
-}
-
 }  // namespace qwm::device::kernel

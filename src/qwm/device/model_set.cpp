@@ -1,30 +1,8 @@
 #include "qwm/device/model_set.h"
 
-#include <algorithm>
-
 #include "qwm/device/tabular_model.h"
 
 namespace qwm::device {
-
-namespace {
-
-// Mean saturation drive of the two polarities, I ~ kp * (vdd - vth0)^2.
-// Overdrive is floored well above zero so a pathological model card cannot
-// produce a wild (or infinite) seed scale.
-double saturation_drive(const Process& p) {
-  const double on = std::max(p.vdd - p.nmos.vth0, 0.1);
-  const double op = std::max(p.vdd - p.pmos.vth0, 0.1);
-  return 0.5 * (p.nmos.kp * on * on + p.pmos.kp * op * op);
-}
-
-}  // namespace
-
-double warm_time_scale(const ModelSet& from, const ModelSet& to) {
-  if (from.process == nullptr || to.process == nullptr) return 1.0;
-  const double drive_to = saturation_drive(*to.process);
-  if (drive_to <= 0.0) return 1.0;
-  return saturation_drive(*from.process) / drive_to;
-}
 
 CornerLibrary::CornerLibrary(const Process& base)
     : CornerLibrary(base, CharacterizationOptions{}) {}

@@ -67,19 +67,11 @@ struct CornerModelSet {
   }
 };
 
-/// First-order ratio of switching time scales between two characterized
-/// conditions: a QWM trace recorded against `from` and replayed against
-/// `to` should have its region lengths multiplied by this factor
-/// (QwmOptions::warm_scale). Durations scale inversely with saturation
-/// drive, I ~ kp * (vdd - vth0)^2, averaged over both polarities; the
-/// waveform *shape* (the alphas) is treated as corner-invariant. Returns
-/// 1.0 when either process is missing.
-double warm_time_scale(const ModelSet& from, const ModelSet& to);
-
 /// Owns one derived Process and one characterized tabular model pair per
 /// corner. Corner derivation scales transconductance and threshold only
-/// (process.h), so every corner grid shares the typical grid's axes — the
-/// property the corner-lane batched table lookup relies on.
+/// (process.h). Each corner's pair is self-contained: an STA lane at corner
+/// c evaluates on set(c) alone, exactly as a single-corner engine built on
+/// CornerModelSet::single(set(c), c) does.
 class CornerLibrary {
  public:
   explicit CornerLibrary(const Process& base);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <vector>
 
 namespace qwm::device {
 
@@ -55,45 +54,6 @@ void TabularDeviceModel::eval_frames(std::size_t n, const double* vg,
                                      FrameEval* out) const {
   query_count_.fetch_add(n, std::memory_order_relaxed);
   kernel::eval_frames(grid_, n, vg, vs, vd, out);
-}
-
-namespace {
-
-bool same_axis(const numeric::UniformAxis& a, const numeric::UniformAxis& b) {
-  return a.x0 == b.x0 && a.dx == b.dx && a.n == b.n;
-}
-
-}  // namespace
-
-void TabularDeviceModel::eval_frames_corners(
-    const TabularDeviceModel* const* models, std::size_t model_count,
-    std::size_t n, const double* vg, const double* vs, const double* vd,
-    FrameEval* const* out) {
-  if (model_count == 0) return;
-  const CharacterizationGrid& g0 = models[0]->grid_;
-  for (std::size_t m = 1; m < model_count; ++m) {
-    const CharacterizationGrid& gm = models[m]->grid_;
-    if (!same_axis(gm.vs_axis, g0.vs_axis) ||
-        !same_axis(gm.vg_axis, g0.vg_axis)) {
-      // Heterogeneous axes (not corner variants of one family): the shared
-      // locate would be wrong, so run each lane through the plain batch.
-      for (std::size_t j = 0; j < model_count; ++j)
-        models[j]->eval_frames(n, vg, vs, vd, out[j]);
-      return;
-    }
-  }
-  const CharacterizationGrid* grids[8];
-  std::vector<const CharacterizationGrid*> grids_heap;
-  const CharacterizationGrid** gp = grids;
-  if (model_count > 8) {
-    grids_heap.resize(model_count);
-    gp = grids_heap.data();
-  }
-  for (std::size_t m = 0; m < model_count; ++m) {
-    models[m]->query_count_.fetch_add(n, std::memory_order_relaxed);
-    gp[m] = &models[m]->grid_;
-  }
-  kernel::eval_frames_multi(gp, model_count, n, vg, vs, vd, out);
 }
 
 IvEval TabularDeviceModel::iv_eval(double w, double l,

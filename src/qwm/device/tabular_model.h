@@ -56,21 +56,6 @@ class TabularDeviceModel : public DeviceModel {
   void eval_frames(std::size_t n, const double* vg, const double* vs,
                    const double* vd, FrameEval* out) const;
 
-  /// Corner-lane form of eval_frames: the same frame batch evaluated
-  /// against `model_count` models whose grids share this model family's
-  /// axes (per-corner characterizations of one process do — corner
-  /// derivation rescales currents, never the sweep; see model_set.h). The
-  /// axis location and bilinear weights are computed once per frame and
-  /// reused by every lane, so an extra corner costs only the blend
-  /// arithmetic. out[m][k] is bit-identical to
-  /// models[m]->eval_frame(vg[k], vs[k], vd[k]); each model counts n
-  /// queries. Falls back to per-model eval_frames if any grid's axes
-  /// differ.
-  static void eval_frames_corners(const TabularDeviceModel* const* models,
-                                  std::size_t model_count, std::size_t n,
-                                  const double* vg, const double* vs,
-                                  const double* vd, FrameEval* const* out);
-
   /// Edge voltages mapped into the table's NMOS-normalized frame.
   /// `swapped` records a source/drain exchange (fa < fb): the frame lookup
   /// then runs with the terminals exchanged and from_frame() restores the

@@ -249,8 +249,6 @@ std::string Server::handle_line(const std::string& line) {
          << " slack_memo_misses=" << db.slack_cache_misses
          << " newton_iters=" << db.qwm.newton_iterations
          << " device_evals=" << db.qwm.device_evals
-         << " warm_starts=" << db.qwm.warm_starts
-         << " warm_retries=" << db.qwm.warm_retries
          << " ws_bytes=" << db.workspace.high_water_bytes
          << " ws_grows=" << db.workspace.grow_events
          << " sched=" << (db.schedule == sta::Schedule::deps ? "deps"

@@ -43,11 +43,7 @@ StaEngine::StaEngine(circuit::PartitionedDesign design,
       opt_(options),
       cache_(options.cache) {
   qwm_stats_slot_.assign(models_.count(), core::QwmStats{});
-  corner_warm_scale_.assign(models_.count(), 1.0);
-  for (std::size_t s = 1; s < models_.corners.size(); ++s)
-    corner_warm_scale_[s] = device::warm_time_scale(
-        models_.primary(), models_.at(models_.corners[s]));
-  dirty_.assign(design_.stages.size(), 1);
+  dirty_.assign(design_.stages.size(), all_lanes());
   stage_keys_.assign(design_.stages.size(), std::nullopt);
   build_schedule();
   // The flat store covers every net id the design names.
@@ -242,20 +238,19 @@ void StaEngine::prepare_record(int stage_index, OutputRecord* rec) {
       static_cast<std::int8_t>(models_.corners[rec->corner_slot]);
 }
 
-StaEngine::StageTask StaEngine::prepare_task(int stage_index) {
+StaEngine::StageTask StaEngine::prepare_task(int stage_index, char lanes) {
   StageTask task;
   task.stage = stage_index;
   const circuit::StageInfo& info = design_.stages[stage_index];
   for (std::size_t oi = 0; oi < info.output_nets.size(); ++oi) {
     for (const bool rising : {true, false}) {
-      const int primary = static_cast<int>(task.records.size());
       for (std::size_t cs = 0; cs < models_.count(); ++cs) {
+        if (((lanes >> cs) & 1) == 0) continue;
         OutputRecord rec;
         rec.output_index = static_cast<int>(oi);
         rec.rising = rising;
         rec.net = info.output_nets[oi];
         rec.corner_slot = static_cast<int>(cs);
-        if (cs > 0) rec.primary_index = primary;
         prepare_record(stage_index, &rec);
         task.records.push_back(std::move(rec));
       }
@@ -264,10 +259,9 @@ StaEngine::StageTask StaEngine::prepare_task(int stage_index) {
   return task;
 }
 
-void StaEngine::evaluate_owner(StageTask* task, int ri,
+void StaEngine::evaluate_owner(int stage_index, OutputRecord* rec,
                                core::EvalWorkspace& ws) const {
-  OutputRecord* rec = &task->records[static_cast<std::size_t>(ri)];
-  const circuit::StageInfo& info = design_.stages[task->stage];
+  const circuit::StageInfo& info = design_.stages[stage_index];
   const circuit::LogicStage& stage = info.stage;
   const circuit::NodeId out_node = stage.outputs()[rec->output_index];
   const bool output_falls = !rec->rising;
@@ -290,25 +284,9 @@ void StaEngine::evaluate_owner(StageTask* task, int ri,
           numeric::PwlWaveform::constant(output_falls ? vdd : 0.0));
   }
 
-  // The primary lane of a multi-corner engine records its converged
-  // region trace. A sibling lane replays it, on its own corner's time
-  // scale, when that primary ran QWM in this stage; whether it did is the
-  // memo classification, which both schedules make alike.
-  core::QwmOptions qopt = opt_.qwm;
-  qopt.record_trace = rec->corner_slot == 0 && models_.multi();
-  if (rec->primary_index >= 0) {
-    const OutputRecord& prim =
-        task->records[static_cast<std::size_t>(rec->primary_index)];
-    if (prim.kind == OutputRecord::Kind::owner && prim.value.ok &&
-        !prim.value.degraded && !prim.trace.regions.empty()) {
-      qopt.warm = &prim.trace;
-      qopt.warm_scale =
-          corner_warm_scale_[static_cast<std::size_t>(rec->corner_slot)];
-    }
-  }
-
-  core::StageTiming st = core::evaluate_stage(
-      stage, out_node, output_falls, inputs, rec->sw_input, models, qopt, ws);
+  const core::StageTiming st =
+      core::evaluate_stage(stage, out_node, output_falls, inputs,
+                           rec->sw_input, models, opt_.qwm, ws);
   rec->stats = st.qwm.stats;
   rec->value = core::CachedStageResult{};
   rec->value.degraded = st.qwm.degraded;
@@ -320,8 +298,6 @@ void StaEngine::evaluate_owner(StageTask* task, int ri,
   rec->value.ok = true;
   rec->value.delay = *st.delay;
   rec->value.slew = st.output_slew.value_or(opt_.input_slew);
-  if (qopt.record_trace && !st.qwm.degraded)
-    rec->trace = std::move(st.qwm.trace);
 }
 
 void StaEngine::count_record(const OutputRecord& rec) {
@@ -375,7 +351,8 @@ bool StaEngine::apply_record(int stage_index, const OutputRecord& rec) {
   return false;
 }
 
-std::vector<char> StaEngine::evaluate_level(const std::vector<int>& stages) {
+std::vector<char> StaEngine::evaluate_level(const std::vector<int>& stages,
+                                            const std::vector<char>* masks) {
   // Every batch ends in an implicit barrier (the merge below runs only
   // after all owners finished) — the wait the deps scheduler eliminates.
   ++sched_stats_.barrier_syncs;
@@ -393,10 +370,12 @@ std::vector<char> StaEngine::evaluate_level(const std::vector<int>& stages) {
   std::vector<FlatRef> flat;
   std::unordered_map<core::StageEvalKey, int, core::StageEvalKeyHash>
       first_owner;
-  std::vector<int> lead_owners, lag_owners;  // flat indices that run QWM
+  std::vector<int> owners;  // flat indices that run QWM
   for (int s : stages) {
     const int ti = static_cast<int>(tasks.size());
-    tasks.push_back(prepare_task(s));
+    tasks.push_back(prepare_task(
+        s, masks != nullptr ? (*masks)[static_cast<std::size_t>(s)]
+                            : all_lanes()));
     StageTask& task = tasks.back();
     for (std::size_t ri = 0; ri < task.records.size(); ++ri) {
       OutputRecord& rec = task.records[ri];
@@ -417,7 +396,7 @@ std::vector<char> StaEngine::evaluate_level(const std::vector<int>& stages) {
           continue;
         }
       }
-      (rec.corner_slot == 0 ? lead_owners : lag_owners).push_back(flat_index);
+      owners.push_back(flat_index);
     }
   }
 
@@ -426,31 +405,22 @@ std::vector<char> StaEngine::evaluate_level(const std::vector<int>& stages) {
   // design/model state; indices are handed out through the pool's shared
   // cursor so uneven region counts load-balance.
   // Each lane reuses its own scratch arena across owners and levels.
-  //
-  // Multi-corner batches dispatch in two waves: the primary-lane owners
-  // first (2a), then the remaining corners (2b), each seeded from its
-  // primary record's converged trace when that record ran QWM. Single-
-  // corner batches reduce to one wave.
   const int lanes = thread_count();
-  if (lead_owners.size() + lag_owners.size() > 0 &&
-      static_cast<int>(lane_ws_.size()) < lanes)
+  if (!owners.empty() && static_cast<int>(lane_ws_.size()) < lanes)
     lane_ws_.resize(static_cast<std::size_t>(lanes));
-  const auto run_owner_set = [&](const std::vector<int>& set) {
-    const auto run_owner = [&](std::size_t j, int lane) {
-      const FlatRef ref = flat[set[j]];
-      evaluate_owner(&tasks[ref.task], ref.record,
-                     lane_ws_[static_cast<std::size_t>(lane)]);
-    };
-    if (lanes > 1 && set.size() > 1) {
-      if (!pool_)
-        pool_ = std::make_unique<support::ThreadPool>(opt_.threads);
-      pool_->parallel_for_lanes(set.size(), run_owner);
-    } else {
-      for (std::size_t j = 0; j < set.size(); ++j) run_owner(j, 0);
-    }
+  const auto run_owner = [&](std::size_t j, int lane) {
+    const FlatRef ref = flat[owners[j]];
+    StageTask& task = tasks[ref.task];
+    evaluate_owner(task.stage,
+                   &task.records[static_cast<std::size_t>(ref.record)],
+                   lane_ws_[static_cast<std::size_t>(lane)]);
   };
-  run_owner_set(lead_owners);
-  run_owner_set(lag_owners);
+  if (lanes > 1 && owners.size() > 1) {
+    if (!pool_) pool_ = std::make_unique<support::ThreadPool>(opt_.threads);
+    pool_->parallel_for_lanes(owners.size(), run_owner);
+  } else {
+    for (std::size_t j = 0; j < owners.size(); ++j) run_owner(j, 0);
+  }
 
   // Phase 3 (serial merge, ascending stage order): resolve followers,
   // commit new entries, count, and apply arrivals. Identical regardless
@@ -466,7 +436,8 @@ std::vector<char> StaEngine::evaluate_level(const std::vector<int>& stages) {
       count_record(rec);
       if (rec.kind == OutputRecord::Kind::owner && opt_.use_cache)
         memoize(rec);
-      if (apply_record(task.stage, rec)) changed[ti] = 1;
+      if (apply_record(task.stage, rec))
+        changed[ti] = static_cast<char>(changed[ti] | (1 << rec.corner_slot));
     }
   }
   return changed;
@@ -495,7 +466,7 @@ void StaEngine::resize_transistor(int stage_index, circuit::EdgeId edge,
   circuit::Edge& e = design_.stages[stage_index].stage.edge_mut(edge);
   assert(e.kind != circuit::DeviceKind::wire);
   e.w = new_width;
-  dirty_[stage_index] = 1;
+  dirty_[stage_index] = all_lanes();
   // The stage's memo identity changed with its geometry: recompute the
   // structural hash lazily. Entries under the old hash stay valid for any
   // surviving twin stages and age out by eviction otherwise.
@@ -504,20 +475,22 @@ void StaEngine::resize_transistor(int stage_index, circuit::EdgeId edge,
 
 std::size_t StaEngine::update() {
   const std::size_t before = evals_;
-  // Propagate level by level: a dirty stage re-evaluates; if its outputs
-  // moved, every consumer becomes dirty too (consumers always live in
-  // later levels).
+  // Propagate level by level: a stage re-evaluates its dirty lanes; a
+  // lane whose outputs moved makes the same lane of every consumer dirty
+  // too (consumers always live in later levels).
   update_dirty_.assign(dirty_.begin(), dirty_.end());
   for (const auto& level : levels_) {
     update_todo_.clear();
     for (int s : level)
       if (update_dirty_[s]) update_todo_.push_back(s);
     if (update_todo_.empty()) continue;
-    const std::vector<char> changed = evaluate_level(update_todo_);
+    const std::vector<char> changed =
+        evaluate_level(update_todo_, &update_dirty_);
     for (std::size_t i = 0; i < update_todo_.size(); ++i) {
       dirty_[update_todo_[i]] = 0;
-      if (changed[i])
-        for (int b : consumers_[update_todo_[i]]) update_dirty_[b] = 1;
+      if (changed[i] == 0) continue;
+      for (int b : consumers_[update_todo_[i]])
+        update_dirty_[b] = static_cast<char>(update_dirty_[b] | changed[i]);
     }
   }
   drop_run_only();

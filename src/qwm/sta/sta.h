@@ -25,15 +25,13 @@
 // committed during the deterministic merge.
 //
 // Corners: constructed from a CornerModelSet, the engine propagates one
-// arrival lane per active process corner through the same schedule. The
-// primary (typical) record of each output edge evaluates first; when it
-// runs QWM it records its converged region trace, and the fast/slow
-// records of the same stage that run QWM seed their Newton solves from
-// it (cross-corner warm start), so extra corners ride along at a
-// fraction of a cold re-run. Cache keys carry the corner, so lanes never
-// share memoized results. The legacy single-ModelSet constructor wraps
-// into a one-corner set and behaves bit-identically to the pre-corner
-// engine.
+// arrival lane per active process corner through the same schedule. A
+// lane *is* the single-corner engine at its corner: every record solves
+// from its own stimulus and its own corner's models, and cache keys carry
+// the corner, so lane c's arrivals, memo misses and QWM work equal those
+// of an engine built on CornerModelSet::single(set(c), c), bit for bit.
+// N corners therefore cost N single-corner analyses. The legacy
+// single-ModelSet constructor wraps into a one-corner set.
 #pragma once
 
 #include <limits>
@@ -46,7 +44,6 @@
 #include "qwm/circuit/partition.h"
 #include "qwm/core/eval_cache.h"
 #include "qwm/core/stage_eval.h"
-#include "qwm/core/warm_trace.h"
 #include "qwm/core/workspace.h"
 #include "qwm/device/model_set.h"
 #include "qwm/support/counters.h"
@@ -79,7 +76,7 @@ struct NetTiming {
 /// `deps` — dependency-counting asynchronous schedule: each stage holds
 /// an outstanding-predecessor counter and enqueues the moment its last
 /// predecessor retires; no level barriers. Both produce bit-identical
-/// arrivals (including corner lanes and sticky degraded flags) and the
+/// arrivals (including corner lanes and sticky degraded flags), and the
 /// same memo hit/miss and QWM work counts as long as the memo cache
 /// never evicts mid-run: the deps mode runs stages of equal memo
 /// identity one after another on a per-class chain, so a twin finds in
@@ -272,12 +269,13 @@ class StaEngine {
   int thread_count() const;
 
   /// Aggregate QWM work counters (Newton iterations, device evaluations,
-  /// warm starts, ...) over every owner evaluation since construction or
+  /// regions, ...) over every owner evaluation since construction or
   /// the last reset. Accumulated during the deterministic merge phase, so
   /// the totals are independent of thread count.
   const core::QwmStats& qwm_stats() const { return qwm_stats_; }
-  /// Per-corner QWM work counters (the cross-corner warm-start and
-  /// cache-isolation observables). An inactive corner reads all-zero.
+  /// Per-corner QWM work counters: lane c's equal the qwm_stats() of a
+  /// single-corner engine at c (the cache-isolation observable). An
+  /// inactive corner reads all-zero.
   const core::QwmStats& qwm_stats(device::Corner corner) const;
   void reset_qwm_stats();
   /// Aggregate scratch-arena footprint over all worker-lane workspaces:
@@ -305,9 +303,6 @@ class StaEngine {
     netlist::NetId net = -1;
     /// Active-corner lane this record evaluates (0 = primary).
     int corner_slot = 0;
-    /// Non-primary lanes: index, in the stage's records, of the slot-0
-    /// sibling for the same (output, edge) — the cross-corner warm seed.
-    int primary_index = -1;
     int sw_input = -1;
     Arrival trigger;
     Kind kind = Kind::skip;
@@ -319,9 +314,6 @@ class StaEngine {
     /// under an armed fault plan, so its cache entry lives only until the
     /// run()/update() that made it returns.
     bool run_only = false;
-    /// Primary-lane owner of a multi-corner engine: its converged region
-    /// trace, which seeds the sibling lanes' owners of the same stage.
-    core::WarmTrace trace;
     /// Owner only: QWM work counters from the evaluation.
     core::QwmStats stats;
   };
@@ -332,18 +324,27 @@ class StaEngine {
 
   /// Evaluates a batch of mutually independent stages: classify against
   /// the cache the earlier levels left, run owners across the pool, merge
-  /// in stage order. Returns per-task "any arrival changed" flags.
-  std::vector<char> evaluate_level(const std::vector<int>& stages);
-  /// One record per (output, edge, corner) of a stage, primary lane
-  /// first, each with its trigger and memo key picked (prepare_record).
-  StageTask prepare_task(int stage_index);
+  /// in stage order. `masks`, indexed by stage, selects the corner lanes
+  /// to evaluate (a bit per active-corner slot); null selects every lane.
+  /// Returns per-task masks of the lanes whose arrival changed.
+  std::vector<char> evaluate_level(const std::vector<int>& stages,
+                                   const std::vector<char>* masks = nullptr);
+  /// One record per (output, edge, corner) of a stage for the corner
+  /// lanes in mask `lanes`, primary lane first, each with its trigger and
+  /// memo key picked (prepare_record).
+  StageTask prepare_task(int stage_index, char lanes);
+  /// The mask of every active corner lane.
+  char all_lanes() const {
+    return static_cast<char>((1 << models_.count()) - 1);
+  }
   /// Picks a record's trigger and fills its memo key; kind becomes owner,
   /// or skip when no input has an arrival on the triggering edge.
   void prepare_record(int stage_index, OutputRecord* rec);
-  /// Runs QWM for owner record `ri` of `task` (worker-thread safe: writes
-  /// only that record and its lane's workspace; reads the record's
-  /// primary sibling, the immutable design and the models).
-  void evaluate_owner(StageTask* task, int ri, core::EvalWorkspace& ws) const;
+  /// Runs QWM for owner record `rec` of stage `stage_index` (worker-thread
+  /// safe: writes only that record and its lane's workspace; reads the
+  /// immutable design and the models).
+  void evaluate_owner(int stage_index, OutputRecord* rec,
+                      core::EvalWorkspace& ws) const;
   /// Counts a record's evaluation, memo outcome and QWM work.
   void count_record(const OutputRecord& rec);
   /// Commits an owner's result to the memo cache (exclusive cache access).
@@ -375,9 +376,13 @@ class StaEngine {
   /// every lane of its outputs). char, not bool: concurrent deps merges
   /// set distinct nets' flags while classifications read others.
   std::vector<char> written_;
+  /// Per stage: the mask of corner lanes that must be re-evaluated. A
+  /// lane goes dirty only when its own trigger arrivals or the stage's
+  /// geometry changed, so update() does for each lane exactly the work a
+  /// single-corner engine at that corner does.
   std::vector<char> dirty_;
-  /// update()'s scratch: the dirty flags it propagates and one level's
-  /// dirty stages. Members, so an update allocates neither.
+  /// update()'s scratch: the dirty lane masks it propagates and one
+  /// level's dirty stages. Members, so an update allocates neither.
   std::vector<char> update_dirty_;
   std::vector<int> update_todo_;
   std::vector<std::string> warnings_;
@@ -408,9 +413,6 @@ class StaEngine {
   core::QwmStats qwm_stats_;
   /// Per-active-corner-slot split of qwm_stats_.
   std::vector<core::QwmStats> qwm_stats_slot_;
-  /// Per-slot warm_scale for replaying the typical lane's trace on that
-  /// slot's corner (device::warm_time_scale; slot 0 is always 1.0).
-  std::vector<double> corner_warm_scale_;
 };
 
 }  // namespace qwm::sta

@@ -34,26 +34,26 @@
 //      integrity, not the decision order.
 //
 // Bit-identity with the level schedule: a cache hit returns the bits a
-// re-evaluation would compute (the key is the exact stimulus), so
-// single-corner arrivals do not depend on which record ran QWM at all.
-// The memo-twin chains make the hit/miss split match too: every
-// memo-twin class (same structural hash + load bits) is serialized in
-// the canonical (level, stage-index) order, so a twin classifies after
-// every earlier member merged and finds in the cache exactly the keys
-// the level schedule gives it, as hits or as followers of a same-level
-// owner. Hits, misses and QWM work counts are therefore equal, and so
-// are the corner lanes, whose warm seeds depend on whether the primary
-// record ran QWM. A degraded or fault-failed result is inserted like any
-// other and erased when run() returns, so twins share it the same way in
-// both schedules. QwmStats are accumulated when a stage MERGES (under
-// the merge mutex), never when its task moves between shards, so the
-// totals are plain commutative sums over the same record set regardless
-// of thread count or steal pattern. The remaining caveats: once the
-// cache evicts mid-run, victim order differs between schedules, so
-// hit/miss counts (and corner lanes' warm seeds) can differ while the
-// distinct key count exceeds EvalCacheOptions::max_entries; and
-// count/period-based fault-injection rules fire by global occurrence
-// order, so they are schedule-dependent (always-fire rules are not).
+// re-evaluation would compute (the key is the exact stimulus), and every
+// record — on every corner lane — solves from its own key alone, so
+// arrivals do not depend on which record ran QWM at all. The memo-twin
+// chains serve only the counters: every memo-twin class (same
+// structural hash + load bits) is serialized in the canonical (level,
+// stage-index) order, so a twin classifies after every earlier member
+// merged and finds in the cache exactly the keys the level schedule
+// gives it, as hits or as followers of a same-level owner. Hits, misses
+// and QWM work counts are therefore equal; without the chains only those
+// counters would vary. A degraded or fault-failed result is inserted
+// like any other and erased when run() returns, so twins share it the
+// same way in both schedules. QwmStats are accumulated when a stage
+// MERGES (under the merge mutex), never when its task moves between
+// shards, so the totals are plain commutative sums over the same record
+// set regardless of thread count or steal pattern. The remaining
+// caveats: once the cache evicts mid-run, victim order differs between
+// schedules, so hit/miss counts can differ while the distinct key count
+// exceeds EvalCacheOptions::max_entries; and count/period-based
+// fault-injection rules fire by global occurrence order, so they are
+// schedule-dependent (always-fire rules are not).
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
@@ -208,13 +208,13 @@ void StaEngine::run_deps() {
       }
       ready_count.fetch_sub(1, std::memory_order_relaxed);
 
-      // --- Classify (no global lock): trigger selection plus one cache
-      // peek per record, try-lock first so a failed try counts a genuine
-      // collision with another lane.
-      StageTask task = prepare_task(s);
-      std::vector<int> owners;  // record indices that must run QWM
-      for (std::size_t ri = 0; ri < task.records.size(); ++ri) {
-        OutputRecord& rec = task.records[ri];
+      // --- Classify and evaluate (no global lock): trigger selection,
+      // then per record one cache peek (try-lock first, so a failed try
+      // counts a genuine collision with another lane) and, on a miss, the
+      // QWM run with no lock held.
+      StageTask task = prepare_task(s, all_lanes());
+      core::EvalWorkspace& ws = lane_ws_[static_cast<std::size_t>(lane)];
+      for (OutputRecord& rec : task.records) {
         if (rec.kind != OutputRecord::Kind::owner) continue;
         if (opt_.use_cache) {
           std::optional<core::CachedStageResult> cached;
@@ -232,19 +232,8 @@ void StaEngine::run_deps() {
             continue;
           }
         }
-        owners.push_back(static_cast<int>(ri));
+        evaluate_owner(s, &rec, ws);
       }
-
-      // --- Evaluate (no locks). Primary-lane owners first, so sibling
-      // lanes can replay the converged trace of a primary that ran QWM,
-      // exactly as the level schedule's wave 2a/2b.
-      core::EvalWorkspace& ws = lane_ws_[static_cast<std::size_t>(lane)];
-      for (const int ri : owners)
-        if (task.records[static_cast<std::size_t>(ri)].corner_slot == 0)
-          evaluate_owner(&task, ri, ws);
-      for (const int ri : owners)
-        if (task.records[static_cast<std::size_t>(ri)].corner_slot != 0)
-          evaluate_owner(&task, ri, ws);
 
       // --- Merge (short merge lock): identical bookkeeping to the level
       // schedule's phase 3. QwmStats fold in HERE — at stage retirement,

@@ -4,10 +4,7 @@
 //    no new grow events);
 //  * batched-vs-scalar bit-exactness — the SoA device-eval kernel must
 //    reproduce the scalar per-device path bit for bit on randomized
-//    stacks;
-//  * warm starts — replaying a recorded solve trace on the same inputs is
-//    bit-identical at zero Newton iterations, and seeding from a nearby
-//    operating point's trace converges with strictly less work.
+//    stacks.
 #include "qwm/core/workspace.h"
 
 #include <gtest/gtest.h>
@@ -131,56 +128,6 @@ TEST(BatchedDeviceEval, RandomStacksMatchScalarBitForBit) {
               batched.qwm.stats.newton_iterations);
     EXPECT_EQ(scalar.qwm.stats.regions, batched.qwm.stats.regions);
   }
-}
-
-TEST(WarmStart, ReplaySameInputsIsBitIdenticalAtZeroNewtonWork) {
-  for (const int k : {2, 4, 6}) {
-    const auto b = make_stack(k, 1.2e-6, 20e-15);
-    const auto inputs = step_inputs(b);
-    QwmOptions cold_opt;
-    cold_opt.record_trace = true;
-    const auto cold = evaluate_stage(b, inputs, models(), cold_opt);
-    ASSERT_TRUE(cold.ok) << "k=" << k;
-    ASSERT_GT(cold.qwm.stats.newton_iterations, 0u);
-    ASSERT_FALSE(cold.qwm.trace.regions.empty());
-
-    QwmOptions warm_opt;
-    warm_opt.warm = &cold.qwm.trace;
-    const auto warm = evaluate_stage(b, inputs, models(), warm_opt);
-    ASSERT_TRUE(warm.ok) << "k=" << k;
-    EXPECT_EQ(*warm.delay, *cold.delay) << "k=" << k;
-    EXPECT_EQ(*warm.output_slew, *cold.output_slew) << "k=" << k;
-    // A same-input replay accepts every recorded region solution as-is.
-    EXPECT_EQ(warm.qwm.stats.newton_iterations, 0u) << "k=" << k;
-    EXPECT_GT(warm.qwm.stats.warm_starts, 0u);
-    EXPECT_EQ(warm.qwm.stats.warm_retries, 0u);
-  }
-}
-
-TEST(WarmStart, NearbyOperatingPointTraceCutsNewtonWork) {
-  // A nearby operating point: same structure, slightly different load.
-  // Seeding from the neighbour's trace must converge to the cold
-  // answer (same residual, same tolerance) with strictly less work.
-  const auto base = make_stack(4, 1.2e-6, 20e-15);
-  const auto shifted = make_stack(4, 1.2e-6, 22e-15);
-  const auto inputs = step_inputs(base);
-
-  QwmOptions trace_opt;
-  trace_opt.record_trace = true;
-  const auto neighbour = evaluate_stage(base, inputs, models(), trace_opt);
-  ASSERT_TRUE(neighbour.ok);
-
-  const auto cold = evaluate_stage(shifted, inputs, models());
-  QwmOptions warm_opt;
-  warm_opt.warm = &neighbour.qwm.trace;
-  const auto warm = evaluate_stage(shifted, inputs, models(), warm_opt);
-  ASSERT_TRUE(cold.ok && warm.ok);
-  EXPECT_LT(warm.qwm.stats.newton_iterations,
-            cold.qwm.stats.newton_iterations);
-  EXPECT_LT(warm.qwm.stats.device_evals, cold.qwm.stats.device_evals);
-  // Both runs are pinned by the same residual and tolerance; the answers
-  // agree far inside the model's accuracy.
-  EXPECT_NEAR(*warm.delay, *cold.delay, 1e-6 * *cold.delay);
 }
 
 }  // namespace

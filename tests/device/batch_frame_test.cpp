@@ -6,11 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <vector>
 
 #include "../common/test_models.h"
-#include "qwm/device/characterize.h"
 
 namespace qwm::device {
 namespace {
@@ -54,113 +52,6 @@ TEST(BatchFrame, FastPathMatchesVirtualIvEvalBitForBit) {
           EXPECT_EQ(v.d_snk, f.d_snk);
         }
   }
-}
-
-/// Frame batch spanning the operating range (vd >= vs precondition).
-std::vector<std::array<double, 3>> frame_batch() {
-  std::vector<std::array<double, 3>> pts;
-  for (double g = -0.5; g <= 4.0; g += 0.45)
-    for (double s = -0.2; s <= 3.4; s += 0.6)
-      for (double off : {0.0, 0.05, 0.9, 2.1}) pts.push_back({g, s, s + off});
-  return pts;
-}
-
-TEST(BatchFrame, EvalFramesCornersMatchesPerModelBitForBit) {
-  // The shared-axis corner kernel (locate once, blend per lane) against
-  // the per-model scalar lookups, for both polarities. Corner grids share
-  // the typical axes by construction, so this exercises the fast path.
-  const device::CornerLibrary& lib = test::corner_models();
-  for (const MosType type : {MosType::nmos, MosType::pmos}) {
-    SCOPED_TRACE(type == MosType::nmos ? "nmos" : "pmos");
-    const TabularDeviceModel* lanes[kCornerCount];
-    for (const Corner c : kAllCorners)
-      lanes[static_cast<int>(c)] = &lib.model(c, type);
-
-    const auto pts = frame_batch();
-    std::vector<double> vg, vs, vd;
-    for (const auto& p : pts) {
-      vg.push_back(p[0]);
-      vs.push_back(p[1]);
-      vd.push_back(p[2]);
-    }
-    std::vector<TabularDeviceModel::FrameEval> lane_out[kCornerCount];
-    TabularDeviceModel::FrameEval* out[kCornerCount];
-    for (int m = 0; m < kCornerCount; ++m) {
-      lane_out[m].resize(vg.size());
-      out[m] = lane_out[m].data();
-    }
-    TabularDeviceModel::eval_frames_corners(lanes, kCornerCount, vg.size(),
-                                            vg.data(), vs.data(), vd.data(),
-                                            out);
-    for (int m = 0; m < kCornerCount; ++m) {
-      SCOPED_TRACE(corner_name(kAllCorners[m]));
-      for (std::size_t k = 0; k < vg.size(); ++k) {
-        const auto scalar = lanes[m]->eval_frame(vg[k], vs[k], vd[k]);
-        ASSERT_EQ(scalar.i, lane_out[m][k].i) << "k=" << k;
-        ASSERT_EQ(scalar.d_vg, lane_out[m][k].d_vg) << "k=" << k;
-        ASSERT_EQ(scalar.d_vs, lane_out[m][k].d_vs) << "k=" << k;
-        ASSERT_EQ(scalar.d_vd, lane_out[m][k].d_vd) << "k=" << k;
-      }
-    }
-    // Corner derivation must actually have produced distinct tables.
-    bool differs = false;
-    for (std::size_t k = 0; k < vg.size() && !differs; ++k)
-      differs = lane_out[0][k].i !=
-                lane_out[static_cast<int>(Corner::fast)][k].i;
-    EXPECT_TRUE(differs);
-  }
-}
-
-TEST(BatchFrame, EvalFramesCornersHeterogeneousAxesFallBack) {
-  // A coarser-pitch grid does not share the typical axes: the kernel must
-  // detect it and route every lane through the plain per-model batch —
-  // still bit-identical, never a shared locate on the wrong axis.
-  CharacterizationOptions coarse;
-  coarse.grid_step = 0.3;
-  const TabularDeviceModel other(MosType::nmos, test::models().proc, coarse);
-  const TabularDeviceModel* lanes[2] = {&test::models().tabular_n, &other};
-
-  std::vector<double> vg, vs, vd;
-  for (const auto& p : frame_batch()) {
-    vg.push_back(p[0]);
-    vs.push_back(p[1]);
-    vd.push_back(p[2]);
-  }
-  std::vector<TabularDeviceModel::FrameEval> lane_out[2];
-  TabularDeviceModel::FrameEval* out[2];
-  for (int m = 0; m < 2; ++m) {
-    lane_out[m].resize(vg.size());
-    out[m] = lane_out[m].data();
-  }
-  TabularDeviceModel::eval_frames_corners(lanes, 2, vg.size(), vg.data(),
-                                          vs.data(), vd.data(), out);
-  for (int m = 0; m < 2; ++m) {
-    SCOPED_TRACE(m);
-    for (std::size_t k = 0; k < vg.size(); ++k) {
-      const auto scalar = lanes[m]->eval_frame(vg[k], vs[k], vd[k]);
-      ASSERT_EQ(scalar.i, lane_out[m][k].i) << "k=" << k;
-      ASSERT_EQ(scalar.d_vg, lane_out[m][k].d_vg) << "k=" << k;
-    }
-  }
-}
-
-TEST(BatchFrame, EvalFramesCornersCountsEveryLanesQueries) {
-  const device::CornerLibrary& lib = test::corner_models();
-  const TabularDeviceModel* lanes[kCornerCount];
-  for (const Corner c : kAllCorners)
-    lanes[static_cast<int>(c)] = &lib.model(c, MosType::nmos);
-  std::size_t before[kCornerCount];
-  for (int m = 0; m < kCornerCount; ++m) before[m] = lanes[m]->query_count();
-
-  const double vg[3] = {1.0, 2.0, 3.0};
-  const double vs[3] = {0.0, 0.1, 0.2};
-  const double vd[3] = {1.0, 1.5, 2.0};
-  TabularDeviceModel::FrameEval buf[kCornerCount][3];
-  TabularDeviceModel::FrameEval* out[kCornerCount] = {buf[0], buf[1], buf[2]};
-  TabularDeviceModel::eval_frames_corners(lanes, kCornerCount, 3, vg, vs, vd,
-                                          out);
-  for (int m = 0; m < kCornerCount; ++m)
-    EXPECT_EQ(lanes[m]->query_count(), before[m] + 3) << "lane " << m;
 }
 
 TEST(BatchFrame, QueryAccountingCountsBatchedLookups) {

@@ -1,8 +1,8 @@
 // Cross-backend bit-exactness of the runtime-dispatched frame kernel:
 // the portable scalar loop and the AVX2 batch implement the same
 // operation DAG (no FMA contraction, same order), so every observable —
-// frame lookups, shared-axis corner blends, full stage evaluations, and
-// the fallback-ladder rung an armed fault lands on — must be bitwise
+// frame lookups, full stage evaluations, and the fallback-ladder rung an
+// armed fault lands on — must be bitwise
 // equal between the two. The AVX2 comparisons skip on hosts without the
 // instruction set; the scalar backend is always compiled and supported.
 #include "qwm/device/frame_kernel.h"
@@ -92,57 +92,6 @@ TEST(SimdBackend, FrameBatchBitIdenticalAcrossBackends) {
       ASSERT_EQ(scalar[k].d_vg, avx[k].d_vg) << "k=" << k;
       ASSERT_EQ(scalar[k].d_vs, avx[k].d_vs) << "k=" << k;
       ASSERT_EQ(scalar[k].d_vd, avx[k].d_vd) << "k=" << k;
-    }
-  }
-}
-
-TEST(SimdBackend, CornerMultiGridBitIdenticalAcrossBackends) {
-  if (!kernel::backend_supported(Backend::avx2))
-    GTEST_SKIP() << "host has no AVX2";
-  const device::CornerLibrary& lib = test::corner_models();
-  const TabularDeviceModel* lanes[kCornerCount];
-  for (const Corner c : kAllCorners)
-    lanes[static_cast<int>(c)] = &lib.model(c, MosType::nmos);
-
-  const auto pts = frame_batch();
-  std::vector<double> vg, vs, vd;
-  for (const auto& p : pts) {
-    vg.push_back(p[0]);
-    vs.push_back(p[1]);
-    vd.push_back(p[2]);
-  }
-  std::vector<TabularDeviceModel::FrameEval> scalar[kCornerCount];
-  std::vector<TabularDeviceModel::FrameEval> avx[kCornerCount];
-  TabularDeviceModel::FrameEval* out[kCornerCount];
-  {
-    ScopedBackend guard(Backend::scalar);
-    ASSERT_TRUE(guard.ok());
-    for (int m = 0; m < kCornerCount; ++m) {
-      scalar[m].resize(vg.size());
-      out[m] = scalar[m].data();
-    }
-    TabularDeviceModel::eval_frames_corners(lanes, kCornerCount, vg.size(),
-                                            vg.data(), vs.data(), vd.data(),
-                                            out);
-  }
-  {
-    ScopedBackend guard(Backend::avx2);
-    ASSERT_TRUE(guard.ok());
-    for (int m = 0; m < kCornerCount; ++m) {
-      avx[m].resize(vg.size());
-      out[m] = avx[m].data();
-    }
-    TabularDeviceModel::eval_frames_corners(lanes, kCornerCount, vg.size(),
-                                            vg.data(), vs.data(), vd.data(),
-                                            out);
-  }
-  for (int m = 0; m < kCornerCount; ++m) {
-    SCOPED_TRACE(corner_name(kAllCorners[m]));
-    for (std::size_t k = 0; k < vg.size(); ++k) {
-      ASSERT_EQ(scalar[m][k].i, avx[m][k].i) << "k=" << k;
-      ASSERT_EQ(scalar[m][k].d_vg, avx[m][k].d_vg) << "k=" << k;
-      ASSERT_EQ(scalar[m][k].d_vs, avx[m][k].d_vs) << "k=" << k;
-      ASSERT_EQ(scalar[m][k].d_vd, avx[m][k].d_vd) << "k=" << k;
     }
   }
 }

@@ -1,15 +1,25 @@
 // Multi-corner StaEngine behavior: per-corner arrival lanes, the
-// setup/hold min/max merge, and the memo-cache corner isolation the
-// corner-keyed StageEvalKey must guarantee.
+// setup/hold min/max merge, the memo-cache corner isolation the
+// corner-keyed StageEvalKey must guarantee, and the lane contract: lane c
+// of a 3-corner engine is the single-corner engine at c, bit for bit and
+// count for count, through a seeded resize/update sequence on the 64-row
+// decoder and generated grid/tree/dag designs, at 1 lane (levels) and 4
+// lanes (deps), with the memo cache on and off.
 #include "qwm/sta/sta.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
+#include <memory>
+#include <random>
+#include <string>
+#include <vector>
 
+#include "../../bench/common.h"
 #include "../common/test_models.h"
 #include "qwm/netlist/parser.h"
+#include "sta_test_util.h"
 
 namespace qwm::sta {
 namespace {
@@ -190,10 +200,17 @@ TEST(CornerSta, MemoCacheIsolatesCorners) {
     EXPECT_GT(qs.newton_iterations, 0u);
     EXPECT_GT(qs.device_evals, 0u);
   }
-  // The sibling lanes rode the typical lane's traces (warm starts), but
-  // warm-started is not cache-hit: their results are their own.
-  EXPECT_GT(multi.qwm_stats(device::Corner::fast).warm_starts, 0u);
-  EXPECT_GT(multi.qwm_stats(device::Corner::slow).warm_starts, 0u);
+  // Each lane did exactly the work of a single-corner engine at its
+  // corner: nothing was served, or seeded, across corners.
+  for (const device::Corner c : multi.corners()) {
+    SCOPED_TRACE(device::corner_name(c));
+    StaEngine lane(design_from(kTwins), device::CornerModelSet::single(
+                                            test::corner_models().set(c), c));
+    lane.run();
+    EXPECT_EQ(multi.qwm_stats(c).newton_iterations,
+              lane.qwm_stats().newton_iterations);
+    EXPECT_EQ(multi.qwm_stats(c).device_evals, lane.qwm_stats().device_evals);
+  }
 
   // And the lane arrivals genuinely differ from typical's — the values a
   // contaminated cache would have cloned.
@@ -237,6 +254,88 @@ TEST(CornerSta, IncrementalUpdatePreservesLaneIntegrity) {
     }
   }
 }
+
+constexpr int kLaneSteps = 10;
+
+circuit::PartitionedDesign lane_design(const std::string& name) {
+  if (name == "decoder64") {
+    const netlist::ParseResult r =
+        netlist::parse_spice(bench::make_decoder_deck(64, 4));
+    EXPECT_TRUE(r.ok());
+    return circuit::partition_netlist(r.netlist, testutil::models());
+  }
+  return testutil::generated_design("gen:" + name);
+}
+
+class CornerLanes : public ::testing::TestWithParam<testutil::DesignConfig> {};
+
+TEST_P(CornerLanes, EachLaneEqualsTheSingleCornerEngine) {
+  const testutil::DesignConfig cfg = GetParam();
+  const circuit::PartitionedDesign design = lane_design(cfg.design);
+  ASSERT_FALSE(design.stages.empty());
+  const device::CornerLibrary& lib = test::corner_models();
+
+  StaOptions opt;
+  opt.schedule = cfg.schedule;
+  opt.threads = cfg.threads;
+  opt.use_cache = cfg.cache;
+  StaEngine multi(design, lib.sets(), opt);
+  std::vector<std::unique_ptr<StaEngine>> singles;
+  for (const device::Corner c : multi.corners())
+    singles.push_back(std::make_unique<StaEngine>(
+        design, device::CornerModelSet::single(lib.set(c), c), opt));
+
+  std::size_t multi_evals = multi.run();
+  std::size_t single_evals = 0;
+  for (const auto& e : singles) single_evals += e->run();
+
+  std::mt19937_64 rng(7);
+  for (int step = 0; step <= kLaneSteps; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    if (step > 0) {
+      // The same edit on the 3-corner engine and every single-corner one.
+      const auto [s, edge, w] = testutil::random_resize(multi.design(), rng);
+      ASSERT_GE(edge, 0);
+      multi.resize_transistor(s, edge, w);
+      multi_evals += multi.update();
+      for (const auto& e : singles) {
+        e->resize_transistor(s, edge, w);
+        single_evals += e->update();
+      }
+    }
+
+    // Every lane is its single-corner engine, bit for bit...
+    core::QwmStats sum;
+    support::CacheStats cache_sum;
+    for (std::size_t i = 0; i < singles.size(); ++i) {
+      const device::Corner c = multi.corners()[i];
+      SCOPED_TRACE(device::corner_name(c));
+      const StaEngine& single = *singles[i];
+      EXPECT_EQ(testutil::lane_mismatches(multi, c, single, c), 0u);
+      EXPECT_EQ(multi.qwm_stats(c).newton_iterations,
+                single.qwm_stats().newton_iterations);
+      EXPECT_EQ(multi.qwm_stats(c).device_evals,
+                single.qwm_stats().device_evals);
+      sum += single.qwm_stats();
+      cache_sum.hits += single.cache_stats().hits;
+      cache_sum.misses += single.cache_stats().misses;
+    }
+    // ...and the 3-corner engine's work is the sum of theirs.
+    EXPECT_EQ(multi_evals, single_evals);
+    EXPECT_EQ(multi.qwm_stats().regions, sum.regions);
+    EXPECT_EQ(multi.qwm_stats().newton_iterations, sum.newton_iterations);
+    EXPECT_EQ(multi.qwm_stats().device_evals, sum.device_evals);
+    EXPECT_EQ(multi.cache_stats().hits, cache_sum.hits);
+    EXPECT_EQ(multi.cache_stats().misses, cache_sum.misses);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Designs, CornerLanes,
+    ::testing::ValuesIn(testutil::design_configs(
+        {"decoder64", "grid:2000:seed=7", "tree:2000:seed=2",
+         "dag:2000:seed=7"})),
+    testutil::design_config_name);
 
 }  // namespace
 }  // namespace qwm::sta

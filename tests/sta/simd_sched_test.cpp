@@ -85,12 +85,13 @@ TEST(SimdSched, CornerLanesBitIdenticalAcrossBackends) {
   avx.run();
   ASSERT_TRUE(avx.multi_corner());
   expect_identical(ref, avx, "corners");
-  // The shared-axis corner batch keeps the sibling-lane warm-start
-  // economics backend-invariant too.
-  EXPECT_EQ(avx.qwm_stats(device::Corner::fast).warm_starts,
-            ref.qwm_stats(device::Corner::fast).warm_starts);
-  EXPECT_EQ(avx.qwm_stats(device::Corner::slow).warm_starts,
-            ref.qwm_stats(device::Corner::slow).warm_starts);
+  // Every lane's QWM work is backend-invariant too.
+  for (const device::Corner c : ref.corners()) {
+    SCOPED_TRACE(device::corner_name(c));
+    EXPECT_EQ(avx.qwm_stats(c).newton_iterations,
+              ref.qwm_stats(c).newton_iterations);
+    EXPECT_EQ(avx.qwm_stats(c).device_evals, ref.qwm_stats(c).device_evals);
+  }
 }
 
 TEST(SimdSched, WorkStealingStressStaysBitIdentical) {

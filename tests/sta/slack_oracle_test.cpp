@@ -17,7 +17,6 @@
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <ostream>
 #include <random>
 #include <set>
 #include <string>
@@ -163,22 +162,6 @@ bool same_slack(const Slack& a, const Slack& b) {
          bits(a.slack) == bits(b.slack);
 }
 
-/// Stage-output arrival values (time, slew, degraded flag of each edge)
-/// on which two engines over the same design differ bitwise.
-std::size_t arrival_mismatches(const StaEngine& x, const StaEngine& y) {
-  std::size_t n = 0;
-  for (const auto& info : x.design().stages)
-    for (netlist::NetId net : info.output_nets)
-      for (const bool rising : {true, false}) {
-        const Arrival& a = rising ? x.timing(net).rise : x.timing(net).fall;
-        const Arrival& b = rising ? y.timing(net).rise : y.timing(net).fall;
-        n += bits(a.time) != bits(b.time);
-        n += bits(a.slew) != bits(b.slew);
-        n += a.degraded != b.degraded;
-      }
-  return n;
-}
-
 /// A design, its net names and the source DesignDb loads it from.
 struct Case {
   netlist::FlatNetlist nl;
@@ -208,22 +191,10 @@ Case load_case(const std::string& name) {
   return c;
 }
 
-struct Config {
-  const char* design;
-  Schedule schedule;
-  int threads;
-  bool cache;
-};
-
-void PrintTo(const Config& c, std::ostream* os) {
-  *os << c.design << (c.schedule == Schedule::deps ? " deps " : " levels ")
-      << c.threads << (c.cache ? " cache" : " nocache");
-}
-
-class SlackOracle : public ::testing::TestWithParam<Config> {};
+class SlackOracle : public ::testing::TestWithParam<testutil::DesignConfig> {};
 
 TEST_P(SlackOracle, WalkMatchesSortedReferenceAndDesignDb) {
-  const Config cfg = GetParam();
+  const testutil::DesignConfig cfg = GetParam();
   const Case c = load_case(cfg.design);
   ASSERT_FALSE(c.design.stages.empty());
   const netlist::NetId bound = net_bound(c.design);
@@ -259,34 +230,24 @@ TEST_P(SlackOracle, WalkMatchesSortedReferenceAndDesignDb) {
   for (int step = 0; step <= kSteps; ++step) {
     SCOPED_TRACE("step " + std::to_string(step));
     if (step > 0) {
-      // Resize one transistor of a random stage by a sizing-loop factor.
-      const auto& stages = eng.design().stages;
-      const int s = static_cast<int>(rng() % stages.size());
-      const circuit::LogicStage& ls = stages[static_cast<std::size_t>(s)].stage;
-      std::vector<int> fets;
-      for (std::size_t e = 0; e < ls.edge_count(); ++e)
-        if (ls.edge(static_cast<circuit::EdgeId>(e)).kind !=
-            circuit::DeviceKind::wire)
-          fets.push_back(static_cast<int>(e));
-      ASSERT_FALSE(fets.empty());
-      const int edge = fets[rng() % fets.size()];
-      static const double kFactor[] = {0.5, 0.75, 1.5, 2.0};
-      const double w =
-          ls.edge(static_cast<circuit::EdgeId>(edge)).w * kFactor[rng() % 4];
-      eng.resize_transistor(s, static_cast<circuit::EdgeId>(edge), w);
+      const auto [s, edge, w] = testutil::random_resize(eng.design(), rng);
+      ASSERT_GE(edge, 0);
+      eng.resize_transistor(s, edge, w);
       ASSERT_TRUE(db.resize(s, edge, w).status.ok);
       const std::size_t evals = eng.update();
       ASSERT_EQ(db.update().evals, evals);
       evals_total += evals;
       if (uncached) {
-        uncached->resize_transistor(s, static_cast<circuit::EdgeId>(edge), w);
+        uncached->resize_transistor(s, edge, w);
         ASSERT_EQ(uncached->update(), evals);
       }
     }
     if (uncached) {
       // Cache on is cache off, bit for bit, and every evaluation was one
       // memo lookup.
-      EXPECT_EQ(arrival_mismatches(eng, *uncached), 0u);
+      EXPECT_EQ(testutil::lane_mismatches(eng, device::Corner::typical,
+                                          *uncached, device::Corner::typical),
+                0u);
       const support::CacheStats cs = eng.cache_stats();
       EXPECT_EQ(cs.hits + cs.misses, evals_total);
     }
@@ -331,26 +292,11 @@ TEST_P(SlackOracle, WalkMatchesSortedReferenceAndDesignDb) {
   EXPECT_GT(valid_seen, 0u);  // the oracle compared real slacks
 }
 
-std::vector<Config> configs() {
-  std::vector<Config> out;
-  for (const char* d : {"decoder64", "grid:2000", "tree:2000", "dag:300"})
-    for (const bool cache : {true, false}) {
-      out.push_back({d, Schedule::levels, 1, cache});
-      out.push_back({d, Schedule::deps, 4, cache});
-    }
-  return out;
-}
-
 INSTANTIATE_TEST_SUITE_P(
-    Designs, SlackOracle, ::testing::ValuesIn(configs()),
-    [](const ::testing::TestParamInfo<Config>& info) {
-      std::string name = info.param.design;
-      std::replace(name.begin(), name.end(), ':', '_');
-      name += info.param.schedule == Schedule::deps ? "_deps" : "_levels";
-      name += std::to_string(info.param.threads);
-      name += info.param.cache ? "_cache" : "_nocache";
-      return name;
-    });
+    Designs, SlackOracle,
+    ::testing::ValuesIn(testutil::design_configs(
+        {"decoder64", "grid:2000", "tree:2000", "dag:300"})),
+    testutil::design_config_name);
 
 TEST(SlackOracleSelfFed, OwnOutputNeverTriggersTheStage) {
   // Stage b reads its own output through the diode-connected mk. That
