@@ -1,36 +1,34 @@
 // Scale STA harness: full-design analysis of generated mega-circuits
-// (10^4 and 10^5 stages) under both stage schedulers — the
-// level-synchronous barrier schedule and the dependency-counting
-// asynchronous schedule — with a bitwise arrival comparison between the
-// two on every run, and (--smoke) against a cache-off levels engine, so
-// the memo cache is checked end to end too. Reports wall clock per
-// schedule plus the scheduler work counters (barrier syncs, tasks
-// enqueued, ready-queue high-water mark, memo-twin chain edges), the
-// region solver's work (Newton
-// iterations, device evaluations, fallback rungs) and the arcs left
-// without an arrival, which are machine-deterministic and budget-pinned
-// for the CI perf smoke.
+// (10^4 and 10^5 stages) on a 1-lane engine and an N-lane engine at the
+// default memo-cache size, which evicts at 10^5 stages. The two must be
+// bitwise equal on every stage-output arrival and equal on every work
+// count (evaluations, memo hits, misses, insertions and evictions, QWM
+// work); with --smoke a cache-off engine must match the arrivals too, so
+// the memo cache is checked end to end. Reports wall clock per lane count
+// plus the scheduler counters (levels, barrier syncs, widest level), the
+// region solver's work (Newton iterations, device evaluations, fallback
+// rungs) and the arcs left without an arrival, which are
+// machine-deterministic and budget-pinned for the CI perf smoke.
 //
 //   bench_scale_sta [--threads N | --threads N1,N2,...] [--smoke]
 //                   [--counters-only] [--json FILE] [--budget FILE]
 //
 //   --threads N,...  comma list = thread-scaling sweep: after the normal
-//                    comparison, the 10^4-stage design is re-analysed
-//                    under the deps schedule at every listed lane count,
-//                    emitting one JSON row per point (wall, steal_count,
-//                    ready_hwm, classify_lock_waits) and checking every
-//                    point's arrivals bitwise against the first
+//                    comparison, the 10^4-stage design is re-analysed at
+//                    every listed lane count, emitting one JSON row per
+//                    point and checking every point's arrivals bitwise
+//                    and work counts against the first
 //   --smoke          run the 10^4-stage design only (CI-sized), and
-//                    check it against a cache-off levels engine
-//   --counters-only  skip the timed medians; counters and the bitwise
-//                    equivalence check still run
+//                    check it against a cache-off engine
+//   --counters-only  skip the timed runs' wall clock; counters and the
+//                    equivalence checks still run
 //   --budget FILE    compare the 10^4-stage scheduler, solver and arc
 //                    counters against tools/perf_budget.json; exit 1 on
 //                    excess
 //
-// Exit status is non-zero if any design's arrivals differ between the
-// schedulers or (--smoke) between cache on and off — the harness doubles
-// as an end-to-end equivalence check.
+// Exit status is non-zero if any design's arrivals or work counts differ
+// between lane counts or (--smoke) its arrivals between cache on and
+// off: the harness doubles as an end-to-end equivalence check.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -112,126 +110,135 @@ bool arrivals_identical(const sta::StaEngine& a, const sta::StaEngine& b) {
   return a.worst_arrival() == b.worst_arrival();
 }
 
-struct ScaleResult {
-  std::size_t stages = 0;
+/// Equal work: evaluations, memo activity and every QWM counter.
+bool same_work(const sta::StaEngine& a, std::size_t evals_a,
+               const sta::StaEngine& b, std::size_t evals_b) {
+  const support::CacheStats ca = a.cache_stats(), cb = b.cache_stats();
+  const core::QwmStats& qa = a.qwm_stats();
+  const core::QwmStats& qb = b.qwm_stats();
+  bool same = evals_a == evals_b && ca.hits == cb.hits &&
+              ca.misses == cb.misses && ca.insertions == cb.insertions &&
+              ca.evictions == cb.evictions && qa.regions == qb.regions &&
+              qa.newton_iterations == qb.newton_iterations &&
+              qa.linear_solves == qb.linear_solves &&
+              qa.device_evals == qb.device_evals &&
+              qa.lu_fallbacks == qb.lu_fallbacks &&
+              qa.simd_batches == qb.simd_batches &&
+              qa.simd_lanes_filled == qb.simd_lanes_filled;
+  for (int r = 0; r < core::kFallbackRungs; ++r)
+    same = same && qa.fallback_counts[r] == qb.fallback_counts[r];
+  return same;
+}
+
+/// A fresh engine's run(): its evaluation count, and the wall clock
+/// unless counters_only. One cold run is the honest number at this scale
+/// — a 10^5-stage analysis is far above timer noise — and a warm re-run
+/// would ride the memo cache instead of exercising the scheduler.
+std::size_t timed_run(sta::StaEngine& engine, bool counters_only,
+                      double* wall) {
   std::size_t evals = 0;
-  double levels_s = 0.0;
-  double deps_s = 0.0;
-  bool identical = false;
-  sta::ScheduleStats levels_stats;
-  sta::ScheduleStats deps_stats;
-  core::QwmStats levels_qwm;
-  sta::ArcCounts levels_arcs;
-};
+  if (counters_only)
+    evals = engine.run();
+  else
+    *wall = bench::time_seconds([&] { evals = engine.run(); }, 0.0, 1);
+  return evals;
+}
 
-ScaleResult run_size(std::size_t stages, const ScaleFlags& f) {
-  ScaleResult r;
-  r.stages = stages;
-
+frontend::ElaboratedDesign grid_design(std::size_t stages) {
   const std::string spec = "gen:grid:" + std::to_string(stages) + ":seed=7";
   const auto gs = frontend::parse_gen_spec(spec);
   if (!gs) {
     std::fprintf(stderr, "bad spec %s\n", spec.c_str());
     std::exit(1);
   }
+  return frontend::elaborate(frontend::generate_netlist(*gs),
+                             bench::models().set());
+}
+
+struct ScaleResult {
+  std::size_t stages = 0;
+  std::size_t evals = 0;  ///< memo lookups (hits + misses)
+  double serial_s = 0.0;
+  double parallel_s = 0.0;
+  bool identical = false;
+  bool counts_equal = false;
+  support::CacheStats cache;
+  sta::ScheduleStats sched;
+  core::QwmStats qwm;
+  sta::ArcCounts arcs;
+};
+
+ScaleResult run_size(std::size_t stages, const ScaleFlags& f) {
+  ScaleResult r;
+  r.stages = stages;
   const auto ms = bench::models().set();
-  frontend::ElaboratedDesign elab =
-      frontend::elaborate(frontend::generate_netlist(*gs), ms);
+  const frontend::ElaboratedDesign elab = grid_design(stages);
 
   sta::StaOptions opt;
+  opt.threads = 1;
+  sta::StaEngine serial(elab.design, ms, opt);
+  const std::size_t serial_evals =
+      timed_run(serial, f.counters_only, &r.serial_s);
+  r.cache = serial.cache_stats();
+  r.evals = r.cache.hits + r.cache.misses;
+  r.qwm = serial.qwm_stats();
+  r.arcs = serial.arc_counts();
+
   opt.threads = f.threads;
-  // The equivalence contract needs eviction-free memoization: give the
-  // cache headroom over the design's distinct-key population.
-  opt.cache.max_entries = std::size_t{1} << 21;
-
-  opt.schedule = sta::Schedule::levels;
-  sta::StaEngine levels(elab.design, ms, opt);
-  if (!f.counters_only) {
-    // One cold run is the honest number at this scale — a 10^5-stage
-    // analysis is far above timer noise, and medians would triple the
-    // harness cost. Warm re-runs would ride the memo cache instead of
-    // exercising the scheduler.
-    const double t0 = bench::time_seconds([&] { levels.run(); }, 0.0, 1);
-    r.levels_s = t0;
-  } else {
-    levels.run();
-  }
-  r.evals = levels.cache_stats().hits + levels.cache_stats().misses;
-  r.levels_stats = levels.schedule_stats();
-  r.levels_qwm = levels.qwm_stats();
-  r.levels_arcs = levels.arc_counts();
-
-  opt.schedule = sta::Schedule::deps;
-  sta::StaEngine deps(elab.design, ms, opt);
-  if (!f.counters_only) {
-    r.deps_s = bench::time_seconds([&] { deps.run(); }, 0.0, 1);
-  } else {
-    deps.run();
-  }
-  r.deps_stats = deps.schedule_stats();
-
-  r.identical = arrivals_identical(levels, deps);
+  sta::StaEngine parallel(elab.design, ms, opt);
+  const std::size_t parallel_evals =
+      timed_run(parallel, f.counters_only, &r.parallel_s);
+  r.sched = parallel.schedule_stats();
+  r.identical = arrivals_identical(serial, parallel);
+  r.counts_equal = same_work(serial, serial_evals, parallel, parallel_evals);
   if (f.smoke) {
-    opt.schedule = sta::Schedule::levels;
     opt.use_cache = false;
     sta::StaEngine uncached(elab.design, ms, opt);
-    uncached.run();
-    r.identical = r.identical && arrivals_identical(levels, uncached) &&
-                  arrivals_identical(deps, uncached);
+    r.identical = r.identical && uncached.run() == serial_evals &&
+                  arrivals_identical(serial, uncached);
   }
   return r;
 }
 
-/// Thread-scaling sweep: the 10^4-stage design under the deps schedule at
-/// every requested lane count. The curve's observables are the wall clock
-/// plus the sharded-queue counters (steals, ready high-water, contended
-/// classification locks); every point's arrivals are checked bitwise
-/// against the first point's — lane count must never change a result.
+/// Thread-scaling sweep: the 10^4-stage design at every requested lane
+/// count. Every point's arrivals are checked bitwise, and its work counts
+/// for equality, against the first point's: lane count must never change
+/// a result or a count.
 int run_sweep(const ScaleFlags& f, std::vector<std::string>* rows) {
   constexpr std::size_t kSweepStages = 10000;
-  const auto gs =
-      frontend::parse_gen_spec("gen:grid:" + std::to_string(kSweepStages) +
-                               ":seed=7");
   const auto ms = bench::models().set();
-  frontend::ElaboratedDesign elab =
-      frontend::elaborate(frontend::generate_netlist(*gs), ms);
+  const frontend::ElaboratedDesign elab = grid_design(kSweepStages);
 
-  sta::StaOptions opt;
-  opt.schedule = sta::Schedule::deps;
-  opt.cache.max_entries = std::size_t{1} << 21;
-
-  std::printf("\nthread sweep: %zu-stage grid, deps schedule\n", kSweepStages);
-  std::printf("%-8s %11s %9s %9s %12s %5s\n", "threads", "wall", "steals",
-              "hwm", "lock_waits", "ident");
+  std::printf("\nthread sweep: %zu-stage grid\n", kSweepStages);
+  std::printf("%-8s %11s %6s %6s\n", "threads", "wall", "ident", "counts");
   std::unique_ptr<sta::StaEngine> ref;
+  std::size_t ref_evals = 0;
   int rc = 0;
   for (const int t : f.sweep) {
+    sta::StaOptions opt;
     opt.threads = t;
     auto engine = std::make_unique<sta::StaEngine>(elab.design, ms, opt);
     double wall = 0.0;
-    if (!f.counters_only)
-      wall = bench::time_seconds([&] { engine->run(); }, 0.0, 1);
-    else
-      engine->run();
-    const sta::ScheduleStats st = engine->schedule_stats();
+    const std::size_t evals = timed_run(*engine, f.counters_only, &wall);
     const bool ident = !ref || arrivals_identical(*ref, *engine);
-    if (!ident) {
+    const bool counts = !ref || same_work(*ref, ref_evals, *engine, evals);
+    if (!ident || !counts) {
       std::fprintf(stderr, "FAIL: %d-lane sweep point disagrees\n", t);
       rc = 1;
     }
-    std::printf("%-8d %10.3fs %9zu %9zu %12zu %5s\n", t, wall,
-                st.steal_count, st.ready_hwm, st.classify_lock_waits,
-                ident ? "yes" : "NO");
+    std::printf("%-8d %10.3fs %6s %6s\n", t, wall, ident ? "yes" : "NO",
+                counts ? "yes" : "NO");
     rows->push_back(bench::JsonObject()
                         .integer("sweep_stages", kSweepStages)
                         .integer("threads", t)
-                        .num("deps_run_s", wall)
-                        .integer("steal_count", st.steal_count)
-                        .integer("ready_hwm", st.ready_hwm)
-                        .integer("classify_lock_waits", st.classify_lock_waits)
+                        .num("run_s", wall)
                         .integer("bit_identical", ident ? 1 : 0)
+                        .integer("counts_equal", counts ? 1 : 0)
                         .str());
-    if (!ref) ref = std::move(engine);
+    if (!ref) {
+      ref = std::move(engine);
+      ref_evals = evals;
+    }
   }
   return rc;
 }
@@ -244,11 +251,11 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> sizes{10000};
   if (!f.smoke) sizes.push_back(100000);
 
-  std::printf("Scale STA: generated grid designs, levels vs deps schedule "
-              "(%d lanes)\n", f.threads);
-  std::printf("%-9s %9s %11s %11s %9s %9s %9s %11s %5s\n", "stages", "evals",
-              "levels", "deps", "barriers", "hwm", "chains", "enqueued",
-              "ident");
+  std::printf("Scale STA: generated grid designs, 1 lane vs %d lanes\n",
+              f.threads);
+  std::printf("%-9s %9s %10s %10s %9s %9s %9s %5s %6s\n", "stages", "evals",
+              "1 lane", "N lanes", "barriers", "widest", "evictions",
+              "ident", "counts");
 
   std::vector<std::string> rows;
   ScaleResult ten_k;
@@ -256,65 +263,51 @@ int main(int argc, char** argv) {
   for (const std::size_t n : sizes) {
     const ScaleResult r = run_size(n, f);
     if (n == 10000) ten_k = r;
-    if (!r.identical) {
+    if (!r.identical || !r.counts_equal) {
       std::fprintf(stderr,
-                   "FAIL: schedulers%s disagree on the %zu-stage design\n",
+                   "FAIL: lane counts%s disagree on the %zu-stage design\n",
                    f.smoke ? " or cache on/off" : "", n);
       rc = 1;
     }
-    std::printf("%-9zu %9zu %10.3fs %10.3fs %9zu %9zu %9zu %11zu %5s\n",
-                r.stages, r.evals, r.levels_s, r.deps_s,
-                r.levels_stats.barrier_syncs, r.deps_stats.ready_hwm,
-                r.deps_stats.chain_edges, r.deps_stats.tasks_enqueued,
-                r.identical ? "yes" : "NO");
-    rows.push_back(
-        bench::JsonObject()
-            .integer("stages", r.stages)
-            .integer("evals", r.evals)
-            .num("levels_run_s", r.levels_s)
-            .num("deps_run_s", r.deps_s)
-            .integer("levels", r.levels_stats.levels)
-            .integer("levels_barrier_syncs", r.levels_stats.barrier_syncs)
-            .integer("deps_barrier_syncs", r.deps_stats.barrier_syncs)
-            .integer("tasks_enqueued", r.deps_stats.tasks_enqueued)
-            .integer("ready_hwm", r.deps_stats.ready_hwm)
-            .integer("chain_edges", r.deps_stats.chain_edges)
-            .integer("steal_count", r.deps_stats.steal_count)
-            .integer("classify_lock_waits", r.deps_stats.classify_lock_waits)
-            .integer("bit_identical", r.identical ? 1 : 0)
-            .str());
+    std::printf("%-9zu %9zu %9.3fs %9.3fs %9zu %9zu %9llu %5s %6s\n",
+                r.stages, r.evals, r.serial_s, r.parallel_s,
+                r.sched.barrier_syncs, r.sched.ready_hwm,
+                static_cast<unsigned long long>(r.cache.evictions),
+                r.identical ? "yes" : "NO", r.counts_equal ? "yes" : "NO");
+    rows.push_back(bench::JsonObject()
+                       .integer("stages", r.stages)
+                       .integer("threads", f.threads)
+                       .integer("evals", r.evals)
+                       .num("serial_run_s", r.serial_s)
+                       .num("run_s", r.parallel_s)
+                       .integer("levels", r.sched.levels)
+                       .integer("barrier_syncs", r.sched.barrier_syncs)
+                       .integer("widest_level", r.sched.ready_hwm)
+                       .integer("evictions", r.cache.evictions)
+                       .integer("bit_identical", r.identical ? 1 : 0)
+                       .integer("counts_equal", r.counts_equal ? 1 : 0)
+                       .str());
   }
 
   if (!f.sweep.empty() && run_sweep(f, &rows) != 0) rc = 1;
 
   if (!f.budget_path.empty()) {
     // The 10^4-stage counters are machine-deterministic: same design,
-    // same schedule derivation, same memo-twin chains on every host.
+    // same level schedule, same memo decisions on every host.
     struct Live {
       const char* key;
       std::size_t value;
     } live[] = {
         {"scale10k_evals", ten_k.evals},
-        {"scale10k_levels_barrier_syncs", ten_k.levels_stats.barrier_syncs},
-        {"scale10k_deps_barrier_syncs", ten_k.deps_stats.barrier_syncs},
-        {"scale10k_tasks_enqueued", ten_k.deps_stats.tasks_enqueued},
-        {"scale10k_chain_edges", ten_k.deps_stats.chain_edges},
+        {"scale10k_levels_barrier_syncs", ten_k.sched.barrier_syncs},
         // Solver work, fallback ladder included: deterministic, so extra
         // line-search work fails here even when wall time hides it.
-        {"scale10k_newton_iters", ten_k.levels_qwm.newton_iterations},
-        {"scale10k_device_evals", ten_k.levels_qwm.device_evals},
-        {"scale10k_fallback_total",
-         ten_k.levels_qwm.fallback_counts[core::kRungDamped] +
-             ten_k.levels_qwm.fallback_counts[core::kRungBisect] +
-             ten_k.levels_qwm.fallback_counts[core::kRungSpice]},
+        {"scale10k_newton_iters", ten_k.qwm.newton_iterations},
+        {"scale10k_device_evals", ten_k.qwm.device_evals},
+        {"scale10k_fallback_total", ten_k.qwm.fallback_total()},
         // Arcs without an arrival: a ceiling, so it pins valid arrivals
         // from below.
-        {"scale10k_failed_arcs", ten_k.levels_arcs.failed},
-        // Scheduling-dependent (zero on single-lane hosts): budgeted as
-        // generous upper bounds, not exact pins — an excess means the
-        // sharded queues or the cache mutex degenerated to a serial lock.
-        {"scale10k_steal_count", ten_k.deps_stats.steal_count},
-        {"scale10k_classify_lock_waits", ten_k.deps_stats.classify_lock_waits},
+        {"scale10k_failed_arcs", ten_k.arcs.failed},
     };
     std::string text;
     if (!bench::read_text_file(f.budget_path, &text)) return 1;

@@ -12,9 +12,9 @@
 // entry.
 //
 // Concurrency: peek() is safe against other peeks; insert/erase/clear
-// need exclusive access (the level schedule's serial merge, or the deps
-// schedule's cache mutex). The hit/miss counters are relaxed atomics so
-// concurrent probing stays TSan-clean.
+// need exclusive access. The STA engine's lanes peek while they classify
+// a level, and only its serial merge inserts. The hit/miss counters are
+// relaxed atomics so concurrent probing stays TSan-clean.
 #pragma once
 
 #include <cstdint>

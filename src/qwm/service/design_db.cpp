@@ -334,7 +334,6 @@ DbStats DesignDb::stats() const {
   s.epoch = epoch_;
   s.session = session_id_;
   s.loaded = session_ != nullptr;
-  s.schedule = opt_.sta.schedule;
   if (session_) {
     s.stages = session_->engine->design().stages.size();
     s.cache = session_->engine->cache_stats();

@@ -129,11 +129,7 @@ struct DbStats {
   std::uint64_t slack_cache_misses = 0;
   core::QwmStats qwm;                 ///< aggregate QWM work counters
   core::WorkspaceStats workspace;     ///< scratch-arena footprint (all lanes)
-  /// Active stage-schedule mode (from the engine options) and its work
-  /// counters — the deps-vs-levels observables, ready-queue high-water
-  /// mark included.
-  sta::Schedule schedule = sta::Schedule::levels;
-  sta::ScheduleStats sched;
+  sta::ScheduleStats sched;           ///< level executor work counters
 };
 
 class DesignDb {

@@ -251,15 +251,8 @@ std::string Server::handle_line(const std::string& line) {
          << " device_evals=" << db.qwm.device_evals
          << " ws_bytes=" << db.workspace.high_water_bytes
          << " ws_grows=" << db.workspace.grow_events
-         << " sched=" << (db.schedule == sta::Schedule::deps ? "deps"
-                                                             : "levels")
          << " sched_levels=" << db.sched.levels
-         << " barrier_syncs=" << db.sched.barrier_syncs
-         << " tasks_enqueued=" << db.sched.tasks_enqueued
-         << " ready_hwm=" << db.sched.ready_hwm
-         << " chain_edges=" << db.sched.chain_edges
-         << " steal_count=" << db.sched.steal_count
-         << " classify_lock_waits=" << db.sched.classify_lock_waits;
+         << " barrier_syncs=" << db.sched.barrier_syncs;
       for (int i = 0; i < kVerbCount; ++i) {
         const VerbStats& v = sv.verb[i];
         if (v.requests == 0) continue;

@@ -14,6 +14,15 @@ namespace qwm::sta {
 namespace {
 constexpr double kTimeTol = 1e-14;  ///< arrival-change tolerance [s]
 
+/// A level batch classifies on the pool only with at least this many
+/// stages per lane. On a 4-vCPU x86-64 host, classifying a stage (trigger
+/// pick, memo key, cache peek) took 0.5-1 us and a pool round trip 15-20
+/// us, so spreading a level pays from about 25-55 stages at 4 lanes; the
+/// round trip wakes every worker, so the bar scales with the lane count.
+/// Below it (gen:dag's ~13-stage levels, update()'s dirty cones) the
+/// lanes would cost more than they save.
+constexpr std::size_t kClassifyStagesPerLane = 8;
+
 /// Ramp waveform with its 50% crossing at `t50` and 10-90 transition
 /// `slew` (converted to the full 0-100 ramp duration).
 numeric::PwlWaveform make_ramp(double t50, double slew, double vdd,
@@ -159,6 +168,8 @@ void StaEngine::build_schedule() {
     frontier = std::move(next);
   }
   cyclic_ = placed != static_cast<std::size_t>(n);  // cyclic stages absent
+  if (cyclic_)
+    warnings_.push_back("combinational cycle detected; cyclic stages skipped");
   sched_stats_.levels = levels_.size();
 
   // Net-indexed structure for the scans and the slack walk.
@@ -353,85 +364,97 @@ bool StaEngine::apply_record(int stage_index, const OutputRecord& rec) {
 
 std::vector<char> StaEngine::evaluate_level(const std::vector<int>& stages,
                                             const std::vector<char>* masks) {
-  // Every batch ends in an implicit barrier (the merge below runs only
-  // after all owners finished) — the wait the deps scheduler eliminates.
+  // Every batch ends in an implicit barrier: the merge below runs only
+  // after all owners finished.
   ++sched_stats_.barrier_syncs;
-  // Phase 1 (serial): trigger selection + classification against the
-  // cache the earlier levels left. Records that duplicate an earlier
-  // record's key within this same level become followers of the first
-  // occurrence — the level's intra-batch sharing — so the outcome is a
-  // pure function of the batch, never of thread scheduling.
-  std::vector<StageTask> tasks;
-  tasks.reserve(stages.size());
-  struct FlatRef {
+  sched_stats_.ready_hwm = std::max(sched_stats_.ready_hwm, stages.size());
+  const int lanes = thread_count();
+  // fn(i, lane) for every i < n: across the pool, or inline on lane 0.
+  const auto for_each_index = [&](std::size_t n, bool parallel,
+                                  const auto& fn) {
+    if (!parallel || lanes == 1 || n < 2) {
+      for (std::size_t i = 0; i < n; ++i) fn(i, 0);
+      return;
+    }
+    if (!pool_) pool_ = std::make_unique<support::ThreadPool>(opt_.threads);
+    pool_->parallel_for_lanes(n, fn);
+  };
+
+  // Phase 1: trigger selection, memo keys and cache peeks, one task per
+  // stage. A lane reads only earlier levels' arrivals, the cache those
+  // levels left (peeks are safe against peeks) and its own stage's
+  // stage_keys_ slot, so no outcome depends on which lane classified
+  // which stage.
+  std::vector<StageTask> tasks(stages.size());
+  const bool wide =
+      stages.size() >= kClassifyStagesPerLane * static_cast<std::size_t>(lanes);
+  for_each_index(stages.size(), wide, [&](std::size_t i, int) {
+    const int s = stages[i];
+    tasks[i] = prepare_task(
+        s, masks != nullptr ? (*masks)[static_cast<std::size_t>(s)]
+                            : all_lanes());
+    if (!opt_.use_cache) return;
+    for (OutputRecord& rec : tasks[i].records) {
+      if (rec.kind != OutputRecord::Kind::owner) continue;
+      if (const auto cached = cache_.peek(rec.key)) {
+        rec.kind = OutputRecord::Kind::hit;
+        rec.value = *cached;
+      }
+    }
+  });
+
+  // Phase 2 (serial, stage order): a miss that repeats an earlier miss's
+  // key in this batch follows that owner — the level's intra-batch
+  // sharing — so which record owns a key is a function of the batch.
+  struct Ref {
     int task;
     int record;
   };
-  std::vector<FlatRef> flat;
+  std::vector<Ref> owners;  // the records that run QWM
   std::unordered_map<core::StageEvalKey, int, core::StageEvalKeyHash>
-      first_owner;
-  std::vector<int> owners;  // flat indices that run QWM
-  for (int s : stages) {
-    const int ti = static_cast<int>(tasks.size());
-    tasks.push_back(prepare_task(
-        s, masks != nullptr ? (*masks)[static_cast<std::size_t>(s)]
-                            : all_lanes()));
-    StageTask& task = tasks.back();
-    for (std::size_t ri = 0; ri < task.records.size(); ++ri) {
-      OutputRecord& rec = task.records[ri];
-      const int flat_index = static_cast<int>(flat.size());
-      flat.push_back({ti, static_cast<int>(ri)});
+      owner_of;
+  for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
+    std::vector<OutputRecord>& records = tasks[ti].records;
+    for (std::size_t ri = 0; ri < records.size(); ++ri) {
+      OutputRecord& rec = records[ri];
       if (rec.kind != OutputRecord::Kind::owner) continue;
       if (opt_.use_cache) {
-        if (const auto cached = cache_.peek(rec.key)) {
-          rec.kind = OutputRecord::Kind::hit;
-          rec.value = *cached;
-          continue;
-        }
         const auto [it, inserted] =
-            first_owner.try_emplace(rec.key, flat_index);
+            owner_of.try_emplace(rec.key, static_cast<int>(owners.size()));
         if (!inserted) {
           rec.kind = OutputRecord::Kind::follower;
           rec.owner_index = it->second;
           continue;
         }
       }
-      owners.push_back(flat_index);
+      owners.push_back({static_cast<int>(ti), static_cast<int>(ri)});
     }
   }
 
-  // Phase 2 (parallel): run the distinct QWM evaluations across the
-  // worker lanes. Each lane touches only its own record plus immutable
-  // design/model state; indices are handed out through the pool's shared
-  // cursor so uneven region counts load-balance.
-  // Each lane reuses its own scratch arena across owners and levels.
-  const int lanes = thread_count();
+  // Phase 3 (parallel): the distinct QWM evaluations. Each touches only
+  // its own record and its lane's scratch arena, reused across owners and
+  // levels; the pool's shared cursor load-balances uneven region counts.
   if (!owners.empty() && static_cast<int>(lane_ws_.size()) < lanes)
     lane_ws_.resize(static_cast<std::size_t>(lanes));
-  const auto run_owner = [&](std::size_t j, int lane) {
-    const FlatRef ref = flat[owners[j]];
-    StageTask& task = tasks[ref.task];
+  for_each_index(owners.size(), true, [&](std::size_t j, int lane) {
+    StageTask& task = tasks[static_cast<std::size_t>(owners[j].task)];
     evaluate_owner(task.stage,
-                   &task.records[static_cast<std::size_t>(ref.record)],
+                   &task.records[static_cast<std::size_t>(owners[j].record)],
                    lane_ws_[static_cast<std::size_t>(lane)]);
-  };
-  if (lanes > 1 && owners.size() > 1) {
-    if (!pool_) pool_ = std::make_unique<support::ThreadPool>(opt_.threads);
-    pool_->parallel_for_lanes(owners.size(), run_owner);
-  } else {
-    for (std::size_t j = 0; j < owners.size(); ++j) run_owner(j, 0);
-  }
+  });
 
-  // Phase 3 (serial merge, ascending stage order): resolve followers,
-  // commit new entries, count, and apply arrivals. Identical regardless
-  // of how phase 2 was scheduled.
+  // Phase 4 (serial merge, ascending stage order): resolve followers,
+  // commit new entries (and evict) in that order, count, and apply
+  // arrivals. Identical however phases 1 and 3 were scheduled.
   std::vector<char> changed(tasks.size(), 0);
   for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
     StageTask& task = tasks[ti];
     for (OutputRecord& rec : task.records) {
       if (rec.kind == OutputRecord::Kind::follower) {
-        const FlatRef ref = flat[rec.owner_index];
-        rec.value = tasks[ref.task].records[ref.record].value;
+        const Ref o = owners[static_cast<std::size_t>(rec.owner_index)];
+        rec.value = tasks[static_cast<std::size_t>(o.task)]
+                        .records[static_cast<std::size_t>(o.record)]
+                        .value;
       }
       count_record(rec);
       if (rec.kind == OutputRecord::Kind::owner && opt_.use_cache)
@@ -444,18 +467,10 @@ std::vector<char> StaEngine::evaluate_level(const std::vector<int>& stages,
 }
 
 std::size_t StaEngine::run() {
-  if (cyclic_)
-    warnings_.push_back("combinational cycle detected; cyclic stages skipped");
   const std::size_t before = evals_;
-  // The deps schedule needs the complete acyclic graph; a cyclic design
-  // falls back to the level schedule (which skips the cyclic stages).
-  if (opt_.schedule == Schedule::deps && !cyclic_) {
-    run_deps();
-  } else {
-    for (const auto& level : levels_) {
-      evaluate_level(level);
-      for (int s : level) dirty_[s] = 0;
-    }
+  for (const auto& level : levels_) {
+    evaluate_level(level);
+    for (int s : level) dirty_[s] = 0;
   }
   drop_run_only();
   return evals_ - before;

@@ -11,9 +11,12 @@
 // Scheduling: stages are grouped into topological *levels* (all stages
 // whose predecessors live in earlier levels). Every stage of one level
 // is independent given the previous levels' arrivals, so a level is
-// evaluated across a worker pool, and the results are merged into the
-// net-indexed timing store in ascending stage order — results are
-// bit-identical to a single-threaded run regardless of thread count.
+// classified (trigger, memo key, cache peek) and its QWM runs evaluated
+// across a worker pool, and the results are merged into the net-indexed
+// timing store in ascending stage order. run() and update() share this
+// executor. Its arrivals are bit-identical to a single-threaded run
+// regardless of thread count, and so are its memo hits, misses and
+// evictions and its QWM work counts.
 //
 // Caching: stage evaluations are memoized in a StageEvalCache keyed by
 // the exact stimulus — the structural stage hash with the loads' bits,
@@ -69,21 +72,9 @@ struct NetTiming {
   Arrival fall;
 };
 
-/// Stage-graph scheduling policy for run().
-///
-/// `levels` — the classic topological-level schedule: every stage of a
-/// level evaluates across the pool, then a barrier, then the next level.
-/// `deps` — dependency-counting asynchronous schedule: each stage holds
-/// an outstanding-predecessor counter and enqueues the moment its last
-/// predecessor retires; no level barriers. Both produce bit-identical
-/// arrivals (including corner lanes and sticky degraded flags), and the
-/// same memo hit/miss and QWM work counts as long as the memo cache
-/// never evicts mid-run: the deps mode runs stages of equal memo
-/// identity one after another on a per-class chain, so a twin finds in
-/// the cache what the level schedule gives it as a hit or as a follower
-/// of a same-level owner. update() always uses the level schedule (its
-/// dirty-cone walk is level-structured); a cyclic design falls back to
-/// levels as well.
+/// Ignored: run() and update() always run the level executor. The
+/// declaration stays because the repository benchmark (perfbench/) still
+/// names both values and builds against this header unchanged.
 enum class Schedule { levels, deps };
 
 struct StaOptions {
@@ -95,27 +86,22 @@ struct StaOptions {
   /// Memoize stage evaluations across identical (stage, stimulus) pairs.
   bool use_cache = true;
   core::EvalCacheOptions cache;
+  /// Ignored (see Schedule); kept because perfbench/ sets it.
   Schedule schedule = Schedule::levels;
 };
 
-/// Scheduler work counters, cumulative since engine construction. The
-/// deps-vs-levels observables: a deps-mode run never executes a level
-/// barrier (barrier_syncs stays 0), and its ready-queue high-water mark
-/// shows how much independent work the barrier-free schedule exposes.
+/// Scheduler work counters, cumulative since engine construction.
 struct ScheduleStats {
-  std::size_t levels = 0;          ///< topological levels in the schedule
-  std::size_t barrier_syncs = 0;   ///< level batches executed (levels mode)
-  std::size_t tasks_enqueued = 0;  ///< stages pushed on the ready queue (deps)
-  std::size_t ready_hwm = 0;       ///< ready-queue high-water mark (deps)
-  std::size_t chain_edges = 0;     ///< memo-twin serialization edges (deps)
-  /// Stages a worker lane took from another lane's ready shard because its
-  /// own shard was empty (deps). Zero on single-lane runs; the
-  /// load-imbalance observable on multi-lane runs.
+  std::size_t levels = 0;         ///< topological levels in the schedule
+  std::size_t barrier_syncs = 0;  ///< level batches executed
+  /// Widest level batch executed, in stages: the most independent work
+  /// one barrier exposed. It keeps the name of the ready-queue high-water
+  /// mark it replaced because perfbench/ reads it (sta.ready_hwm).
+  std::size_t ready_hwm = 0;
+  /// Always 0: the pool hands out a batch through one shared cursor, so
+  /// no lane takes work from another's queue. Declared because perfbench/
+  /// reads it (sta.steal_count).
   std::size_t steal_count = 0;
-  /// Contended acquisitions of the memo-cache mutex during record
-  /// classification (deps): a lane's cache peek found another lane's peek
-  /// or insert in progress. Zero on single-lane runs.
-  std::size_t classify_lock_waits = 0;
 };
 
 /// Outcome of every stage-output arc (output net x rise/fall edge).
@@ -284,9 +270,7 @@ class StaEngine {
   /// observable proof the hot path has stopped allocating.
   core::WorkspaceStats workspace_stats() const;
 
-  /// Scheduler work counters (see ScheduleStats). Levels-mode runs grow
-  /// barrier_syncs; deps-mode runs grow the queue counters and leave
-  /// barrier_syncs untouched.
+  /// Scheduler work counters (see ScheduleStats).
   const ScheduleStats& schedule_stats() const { return sched_stats_; }
 
  private:
@@ -307,7 +291,7 @@ class StaEngine {
     Arrival trigger;
     Kind kind = Kind::skip;
     core::StageEvalKey key;  ///< filled when the cache is on
-    /// follower: flat index of the owning record in the level batch.
+    /// follower: index of its owner in the level batch's owner list.
     int owner_index = -1;
     core::CachedStageResult value;
     /// Owner only: the result came from the fallback ladder or failed
@@ -323,9 +307,11 @@ class StaEngine {
   };
 
   /// Evaluates a batch of mutually independent stages: classify against
-  /// the cache the earlier levels left, run owners across the pool, merge
-  /// in stage order. `masks`, indexed by stage, selects the corner lanes
-  /// to evaluate (a bit per active-corner slot); null selects every lane.
+  /// the cache the earlier levels left (on the pool for wide batches),
+  /// split the misses into owners and followers by key, run owners across
+  /// the pool, merge in stage order. `masks`, indexed by stage, selects
+  /// the corner lanes to evaluate (a bit per active-corner slot); null
+  /// selects every lane.
   /// Returns per-task masks of the lanes whose arrival changed.
   std::vector<char> evaluate_level(const std::vector<int>& stages,
                                    const std::vector<char>* masks = nullptr);
@@ -353,9 +339,6 @@ class StaEngine {
   void drop_run_only();
   /// Applies a record's result to the timing store; true if it changed.
   bool apply_record(int stage_index, const OutputRecord& rec);
-  /// Full analysis under the dependency-counting schedule (sta_deps.cpp).
-  /// Precondition: !cyclic_. Bit-identical to the level schedule.
-  void run_deps();
 
   /// Memo identity of a stage: structural hash + load bits, computed
   /// lazily and invalidated by resize_transistor.
@@ -370,11 +353,11 @@ class StaEngine {
   /// One arrival store per active corner, indexed by NetId; slot 0 is the
   /// primary lane and the surface every single-corner query reads. Sized
   /// at construction from the largest net id the design names and grown
-  /// only by set_input_arrival, so deps-mode merges write in place.
+  /// only by set_input_arrival.
   std::vector<std::vector<NetTiming>> timing_;
-  /// Per-net has_timing flag, shared by the lanes (a stage merge writes
-  /// every lane of its outputs). char, not bool: concurrent deps merges
-  /// set distinct nets' flags while classifications read others.
+  /// Per-net has_timing flag, shared by the corner lanes (a stage merge
+  /// writes every lane of its outputs). char, not vector<bool>: the
+  /// classification lanes test it with a plain byte load.
   std::vector<char> written_;
   /// Per stage: the mask of corner lanes that must be re-evaluated. A
   /// lane goes dirty only when its own trigger arrivals or the stage's

@@ -1,8 +1,10 @@
 // Level-synchronous worker pool for the parallel STA scheduler.
 //
 // The STA engine evaluates one topological level of independent stages
-// at a time; inside a level the work items share nothing but read-only
-// state, so the pool only needs a single primitive: parallel_for(n, fn)
+// at a time, in up to two rounds on this pool: classifying the stages
+// (trigger, memo key, cache peek), then the QWM runs the classification
+// left. Inside a round the work items share nothing but read-only state,
+// so the pool only needs a single primitive: parallel_for(n, fn)
 // — run fn(0..n-1) across the workers plus the calling thread and block
 // until every index is done. Work is distributed dynamically through a
 // shared atomic cursor (a degenerate but contention-free form of work

@@ -3,11 +3,14 @@
 // critical path, and the same cache statistics as the serial engine —
 // across repeated full analyses (20 iterations exercises scheduling
 // nondeterminism) and after incremental edits. Also checks the cache
-// accounting invariant hits + misses == triggered evaluations.
+// accounting invariant hits + misses == triggered evaluations, and that
+// the counts stay lane-independent while the memo cache evicts.
 #include "qwm/sta/sta.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "../common/test_models.h"
 #include "qwm/circuit/partition.h"
 #include "qwm/netlist/parser.h"
+#include "sta_test_util.h"
 
 namespace qwm::sta {
 namespace {
@@ -225,6 +229,49 @@ TEST_P(ParallelStaTest, IncrementalUpdateMatchesAcrossLanes) {
 
 INSTANTIATE_TEST_SUITE_P(Designs, ParallelStaTest,
                          ::testing::Values("decoder", "stacks"));
+
+TEST(ParallelSta, CountsSurviveCacheEviction) {
+  // A memo cache far smaller than the design's distinct keys evicts all
+  // through the run and the updates. Inserts and evictions happen only in
+  // the serial merge, in stage order, so which key is resident when a
+  // later level classifies — and therefore every hit, miss and QWM run —
+  // is a function of the design, not of the lane count.
+  const auto design = testutil::generated_design("gen:grid:2000:seed=7");
+  std::vector<std::unique_ptr<StaEngine>> engines;
+  std::vector<std::size_t> evals;
+  for (const int threads : {1, 4, 8}) {
+    StaOptions opt;
+    opt.threads = threads;
+    opt.cache.max_entries = 512;
+    engines.push_back(std::make_unique<StaEngine>(design, models(), opt));
+    evals.push_back(engines.back()->run());
+  }
+  const StaEngine& ref = *engines[0];
+  EXPECT_GT(ref.cache_stats().evictions, 0u);
+
+  std::mt19937_64 rng(7);
+  constexpr int kSteps = 10;
+  for (int step = 0; step <= kSteps; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    if (step > 0) {
+      const auto [s, edge, w] = testutil::random_resize(design, rng);
+      ASSERT_GE(edge, 0);
+      for (std::size_t i = 0; i < engines.size(); ++i) {
+        engines[i]->resize_transistor(s, edge, w);
+        evals[i] += engines[i]->update();
+      }
+    }
+    for (std::size_t i = 1; i < engines.size(); ++i) {
+      const StaEngine& e = *engines[i];
+      SCOPED_TRACE(e.thread_count());
+      EXPECT_EQ(testutil::lane_mismatches(ref, device::Corner::typical, e,
+                                          device::Corner::typical),
+                0u);
+      EXPECT_EQ(evals[i], evals[0]);
+      testutil::expect_same_work(ref, e);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace qwm::sta

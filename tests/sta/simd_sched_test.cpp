@@ -2,16 +2,13 @@
 //
 //  1. Backend independence — a full analysis (golden twin gates, corner
 //     lanes) run under the forced scalar frame kernel must be bitwise
-//     equal to the same analysis under AVX2, across schedules. Skipped
-//     on hosts without AVX2; the scalar lane is the reference either way.
-//  2. Work stealing — the sharded deps scheduler must stay bit-identical
-//     to the serial level-schedule reference while actually stealing:
-//     repeated 8-lane runs over a wide grid, steal_count summed across
-//     runs (a single run may drain without contention; five in a row do
-//     not), and a single-lane run proving both contention counters stay
-//     at exactly zero when there is nobody to contend with. Runs under
-//     the tier-1 TSan preset, which is where a queue-shard or memo-cache
-//     race would surface.
+//     equal to the same analysis under AVX2, at 1 and 4 lanes. Skipped on
+//     hosts without AVX2; the scalar lane is the reference either way.
+//  2. Dynamic load balance — the pool hands classification and QWM work
+//     to whichever lane is idle, so repeated 8-lane runs over a wide grid
+//     must stay bit-identical to the serial reference, with the same memo
+//     accounting and QWM work. Runs under the tier-1 TSan preset, which is where a
+//     classification or memo-cache race would surface.
 #include "qwm/sta/sta.h"
 
 #include <gtest/gtest.h>
@@ -32,7 +29,6 @@ using testutil::engine_for;
 using testutil::expect_identical;
 using testutil::generated_design;
 using testutil::golden_twin_design;
-using testutil::models;
 
 TEST(SimdSched, GoldenGatesBitIdenticalAcrossBackends) {
   if (!device::kernel::backend_supported(Backend::avx2))
@@ -47,12 +43,12 @@ TEST(SimdSched, GoldenGatesBitIdenticalAcrossBackends) {
 
   ScopedBackend avx_guard(Backend::avx2);
   ASSERT_TRUE(avx_guard.ok());
-  for (const Schedule sched : {Schedule::levels, Schedule::deps}) {
-    SCOPED_TRACE(sched == Schedule::levels ? "levels" : "deps");
-    StaEngine avx = engine_for(design, sched, 4);
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    StaEngine avx = engine_for(design, Schedule::levels, threads);
     EXPECT_EQ(avx.run(), ref_evals);
-    // Scalar serial levels vs AVX2 parallel: the strongest cross check —
-    // backend and scheduler must both be invisible in the bits.
+    // Scalar serial vs AVX2 parallel: the strongest cross check — backend
+    // and lane count must both be invisible in the bits.
     expect_identical(ref, avx, "backend");
     EXPECT_EQ(avx.qwm_stats().newton_iterations,
               ref.qwm_stats().newton_iterations);
@@ -78,10 +74,9 @@ TEST(SimdSched, CornerLanesBitIdenticalAcrossBackends) {
 
   ScopedBackend avx_guard(Backend::avx2);
   ASSERT_TRUE(avx_guard.ok());
-  StaOptions dp = opt;
-  dp.schedule = Schedule::deps;
-  dp.threads = 4;
-  StaEngine avx(design, test::corner_models().sets(), dp);
+  StaOptions wide = opt;
+  wide.threads = 4;
+  StaEngine avx(design, test::corner_models().sets(), wide);
   avx.run();
   ASSERT_TRUE(avx.multi_corner());
   expect_identical(ref, avx, "corners");
@@ -95,55 +90,27 @@ TEST(SimdSched, CornerLanesBitIdenticalAcrossBackends) {
 }
 
 TEST(SimdSched, WorkStealingStressStaysBitIdentical) {
-  // A wide grid keeps many stages ready at once, so 8 lanes over 5
-  // cold-cache runs reliably cross shard boundaries. Bit-identity to the
-  // serial reference is the hard assertion on every run; the steal
-  // counter only has to be nonzero in aggregate.
+  // A wide grid keeps many stages in one level, so 8 lanes over 5
+  // cold-cache runs take classification and QWM work off the pool's
+  // shared cursor (its form of work stealing) in a different order each
+  // time. Bit-identity and equal memo accounting and QWM work against
+  // the serial reference are asserted on every run, at the default cache
+  // size.
   const auto design = generated_design("gen:grid:3000:seed=11");
-  StaOptions lv;
-  lv.threads = 1;
-  // The equivalence contract requires no mid-run eviction.
-  lv.cache.max_entries = std::size_t{1} << 20;
-  StaEngine ref(design, models(), lv);
+  StaEngine ref = engine_for(design, Schedule::levels, 1);
   const std::size_t ref_evals = ref.run();
   ASSERT_GT(ref_evals, 0u);
 
-  StaOptions dp = lv;
-  dp.schedule = Schedule::deps;
-  dp.threads = 8;
-  StaEngine deps(design, models(), dp);
-  std::size_t prev_enqueued = 0;
+  StaEngine wide = engine_for(design, Schedule::levels, 8);
   for (int iter = 0; iter < 5; ++iter) {
     SCOPED_TRACE(iter);
-    deps.clear_cache();
-    EXPECT_EQ(deps.run(), ref_evals);
-    expect_identical(ref, deps, "steal-stress");
-    // ScheduleStats accumulate across runs: check the per-run delta.
-    const ScheduleStats& ss = deps.schedule_stats();
-    EXPECT_EQ(ss.barrier_syncs, 0u);
-    EXPECT_EQ(ss.tasks_enqueued - prev_enqueued, design.stages.size());
-    prev_enqueued = ss.tasks_enqueued;
+    wide.clear_cache();
+    wide.reset_cache_stats();
+    wide.reset_qwm_stats();
+    EXPECT_EQ(wide.run(), ref_evals);
+    expect_identical(ref, wide, "8-lane stress");
+    testutil::expect_same_work(ref, wide);
   }
-  // Aggregated over five 8-lane runs; any one run may drain steal-free.
-  EXPECT_GT(deps.schedule_stats().steal_count, 0u);
-}
-
-TEST(SimdSched, SingleLaneRunNeverStealsOrContends) {
-  // One lane owns the only shard: stealing is structurally impossible and
-  // every classification lock acquisition is uncontended. Both counters
-  // must be exactly zero — they are the "parallelism really off" probes
-  // the thread-sweep bench relies on.
-  const auto design = generated_design("gen:tree:500:seed=9");
-  StaEngine deps = engine_for(design, Schedule::deps, 1);
-  deps.run();
-  const ScheduleStats& ss = deps.schedule_stats();
-  EXPECT_EQ(ss.steal_count, 0u);
-  EXPECT_EQ(ss.classify_lock_waits, 0u);
-  EXPECT_EQ(ss.barrier_syncs, 0u);
-
-  StaEngine ref = engine_for(design, Schedule::levels, 1);
-  ref.run();
-  expect_identical(ref, deps, "single-lane");
 }
 
 }  // namespace

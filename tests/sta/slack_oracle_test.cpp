@@ -3,11 +3,12 @@
 // agree bit for bit across the flat walk, the compute_slacks map,
 // DesignDb's SLACK and the reference, through a seeded resize/update
 // sequence on the 64-row decoder and generated grid/tree/dag designs, at
-// 1 lane (levels schedule) and 4 lanes (deps schedule), with the memo
-// cache on and off. The same states pin worst_arrival() and
-// critical_path() against the stage-order scans they replaced, and every
-// cache-on case drives a cache-off engine through the same edits: the
-// memo cache must not move one bit of any stage-output arrival. Separate
+// 1 and 4 lanes, with the memo cache on and off. The same states pin
+// worst_arrival() and critical_path() against the stage-order scans they
+// replaced, and every cache-on case drives a cache-off engine through the
+// same edits: the memo cache must not move one bit of any stage-output
+// arrival. After the last edit, a fresh engine built on the edited
+// design must reproduce every arrival: update() is a full run(). Separate
 // tests cover a stage that reads its own output and the flat store's
 // miss path.
 #include <gtest/gtest.h>
@@ -290,6 +291,15 @@ TEST_P(SlackOracle, WalkMatchesSortedReferenceAndDesignDb) {
     }
   }
   EXPECT_GT(valid_seen, 0u);  // the oracle compared real slacks
+
+  // The incrementally updated engine equals a fresh analysis of the
+  // design it ended with: time and slew bits, degraded, from_net and
+  // has_timing of every stage output.
+  StaEngine fresh(eng.design(), models(), opt);
+  fresh.run();
+  EXPECT_EQ(testutil::lane_mismatches(eng, device::Corner::typical, fresh,
+                                      device::Corner::typical),
+            0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -294,7 +294,9 @@ cl c 0 10f
 )";
   StaEngine sta(design_from(kLatch), models());
   sta.run();
-  EXPECT_FALSE(sta.warnings().empty());
+  sta.run();
+  // Reported once, when the schedule is built, however often it runs.
+  EXPECT_EQ(sta.warnings().size(), 1u);
   // The acyclic chain still times.
   const auto nc = net_of(kLatch, "c");
   EXPECT_TRUE(sta.timing(nc).rise.valid() || sta.timing(nc).fall.valid());

@@ -1,5 +1,6 @@
-// Shared fixtures for the scheduler-, backend- and corner-equivalence
-// suites (deps_sta_test.cpp, simd_sched_test.cpp, corner_sta_test.cpp):
+// Shared fixtures for the lane-count-, backend- and corner-equivalence
+// suites (deps_sta_test.cpp, simd_sched_test.cpp, corner_sta_test.cpp,
+// parallel_sta_test.cpp, slack_oracle_test.cpp):
 // the Table I/II twin design that exercises the memo owner/follower
 // machinery, generated designs, and the bitwise walk over every
 // stage-output arrival of a corner lane.
@@ -32,8 +33,8 @@ inline const device::ModelSet& models() {
 
 /// Every Table I gate and Table II stack, instantiated twice: the twin
 /// shares its sibling's input nets and memo key, so within one level the
-/// schedulers must make the same owner/follower split. All inputs are
-/// primary, all outputs are observed.
+/// engine must make the same owner/follower split at every lane count.
+/// All inputs are primary, all outputs are observed.
 inline circuit::PartitionedDesign golden_twin_design() {
   circuit::PartitionedDesign d;
   d.vdd = test::models().proc.vdd;
@@ -76,14 +77,16 @@ inline circuit::PartitionedDesign generated_design(const std::string& spec) {
 }
 
 /// Stage-output arrival values (time, slew, degraded flag and from_net of
-/// each edge) on which lane `ca` of `a` and lane `cb` of `b` differ
-/// bitwise. Both engines time the same design.
+/// each edge, and the net's has_timing flag) on which lane `ca` of `a`
+/// and lane `cb` of `b` differ bitwise. Both engines time the same
+/// design.
 inline std::size_t lane_mismatches(const StaEngine& a, device::Corner ca,
                                    const StaEngine& b, device::Corner cb) {
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   std::size_t n = 0;
   for (const auto& info : a.design().stages)
-    for (netlist::NetId net : info.output_nets)
+    for (netlist::NetId net : info.output_nets) {
+      n += a.has_timing(net) != b.has_timing(net);
       for (const auto edge : {&NetTiming::rise, &NetTiming::fall}) {
         const Arrival& x = a.timing(net, ca).*edge;
         const Arrival& y = b.timing(net, cb).*edge;
@@ -92,6 +95,7 @@ inline std::size_t lane_mismatches(const StaEngine& a, device::Corner ca,
         n += x.degraded != y.degraded;
         n += x.from_net != y.from_net;
       }
+    }
   return n;
 }
 
@@ -105,8 +109,32 @@ inline void expect_identical(const StaEngine& a, const StaEngine& b,
   EXPECT_EQ(a.worst_arrival(), b.worst_arrival()) << what;
 }
 
+/// Equal memo accounting and QWM work between two engines that timed the
+/// same design through the same calls.
+inline void expect_same_work(const StaEngine& a, const StaEngine& b) {
+  const support::CacheStats ca = a.cache_stats(), cb = b.cache_stats();
+  EXPECT_EQ(ca.hits, cb.hits);
+  EXPECT_EQ(ca.misses, cb.misses);
+  EXPECT_EQ(ca.insertions, cb.insertions);
+  EXPECT_EQ(ca.evictions, cb.evictions);
+  const core::QwmStats& qa = a.qwm_stats();
+  const core::QwmStats& qb = b.qwm_stats();
+  EXPECT_EQ(qa.regions, qb.regions);
+  EXPECT_EQ(qa.newton_iterations, qb.newton_iterations);
+  EXPECT_EQ(qa.linear_solves, qb.linear_solves);
+  EXPECT_EQ(qa.device_evals, qb.device_evals);
+  EXPECT_EQ(qa.simd_batches, qb.simd_batches);
+  EXPECT_EQ(qa.simd_lanes_filled, qb.simd_lanes_filled);
+  for (int r = 0; r < core::kFallbackRungs; ++r)
+    EXPECT_EQ(qa.fallback_counts[r], qb.fallback_counts[r]);
+}
+
 /// One case of the design-equivalence suites (SlackOracle, CornerLanes):
-/// a design, a schedule with its lane count, and the memo cache on or off.
+/// a design, the engine's schedule setting with its lane count, and the
+/// memo cache on or off. The engine ignores the schedule setting and runs
+/// its level executor either way; the 4-lane cases set Schedule::deps,
+/// as perfbench's grid_full does, so they also check that the setting
+/// changes nothing.
 struct DesignConfig {
   const char* design;
   Schedule schedule;
@@ -132,7 +160,7 @@ inline std::vector<DesignConfig> design_configs(
 }
 
 /// Test name of a case: the design with ':' and '=' spelled '_', then the
-/// schedule, the lane count and the cache state.
+/// schedule setting, the lane count and the cache state.
 inline std::string design_config_name(
     const ::testing::TestParamInfo<DesignConfig>& info) {
   std::string name = info.param.design;

@@ -33,7 +33,7 @@ echo "== bench_incremental_sta --corners (3-corner sweep) =="
     --json "$tmp/incremental_sta_corners.json"
 echo "== bench_service_qps =="
 "$BUILD/bench/bench_service_qps" --json "$tmp/service_qps.json"
-echo "== bench_scale_sta (10^4 + 10^5 stages, both schedulers, thread sweep) =="
+echo "== bench_scale_sta (10^4 + 10^5 stages, 1 lane vs N lanes, thread sweep) =="
 "$BUILD/bench/bench_scale_sta" --threads "1,2,4,$(nproc)" \
     --json "$tmp/scale_sta.json"
 

@@ -2,10 +2,9 @@
 # Tier-1 CI gate: the labelled test suites, run twice —
 #   1. plain (RelWithDebInfo, preset `default`), and
 #   2. under ThreadSanitizer (preset `tsan`) to catch data races in the
-#      parallel level-synchronous scheduler, the dependency-counting
-#      async scheduler (the tier1-labelled deps stress test runs under
-#      both presets), the shared memo cache, and the qwm_serve dispatch
-#      layer —
+#      level executor (its lanes classify and evaluate concurrently; the
+#      tier1-labelled 8-lane run/update stress runs under both presets),
+#      the shared memo cache, and the qwm_serve dispatch layer —
 # plus a service smoke stage driving the qwm_serve daemon over both
 # transports (scripted stdio exchange; TCP round with qwm_load), a
 # deterministic perf-regression smoke comparing the pinned counter
@@ -198,16 +197,15 @@ echo "== perf smoke (work-counter budget) =="
 # wall-clock timing is not; --counters-only skips the timed medians.
 ./build/bench/bench_micro_kernels --json "$smoke_dir/perf.json" \
     --counters-only --budget tools/perf_budget.json
-# Scheduler counters of the 10^4-stage generated design (exact structural
-# pins; also re-checks levels-vs-deps bitwise equivalence end to end).
-# The 1,4 thread sweep additionally checks the work-stealing scheduler's
-# bit-identity across lane counts and budgets its steal/lock-wait
-# counters (upper bounds: scheduling-dependent, not exact).
+# Scheduler, solver and arc counters of the 10^4-stage generated design
+# (exact structural pins), plus the 1-lane vs 4-lane and cache on/off
+# equivalence end to end: arrivals bitwise, work counts equal. The 1,4
+# thread sweep re-checks both at every listed lane count.
 ./build/bench/bench_scale_sta --smoke --counters-only --threads 1,4 \
     --budget tools/perf_budget.json
 echo "perf smoke passed"
 
-echo "== scale smoke (10^5-stage generated design, deps schedule) =="
+echo "== scale smoke (10^5-stage generated design, 8 lanes) =="
 # Full STA over a 10^5-stage grid through the gate-level frontend: must
 # finish inside the wall-clock cap (~2 s on an idle 4-vCPU host) and
 # inside a 512 MB peak-RSS ceiling (~180 MB measured) — the guard against
@@ -215,7 +213,7 @@ echo "== scale smoke (10^5-stage generated design, deps schedule) =="
 scale_rss_kb=$(python3 - <<'EOF'
 import resource, subprocess, sys
 p = subprocess.run(["./build/tools/qwm_sim", "gen:grid:100000:seed=7",
-                    "--sta", "--threads", "8", "--schedule", "deps"],
+                    "--sta", "--threads", "8"],
                    stdout=subprocess.DEVNULL, timeout=120)
 if p.returncode != 0:
     sys.exit(p.returncode)

@@ -13,10 +13,6 @@
 //   --solve-deadline-ms X  per-request execution deadline; overruns are
 //                       answered ERR DEGRADED               (default off)
 //   --sta-threads N     engine lanes per analysis           (default 1)
-//   --schedule M        STA stage schedule: levels (default) or deps (the
-//                       barrier-free dependency-counting scheduler);
-//                       STATS reports the active mode and the deps
-//                       ready-queue high-water mark
 //   --no-cache          disable the engine's stage-eval memo cache
 //   --corners           characterize fast/slow corner models at LOAD and
 //                       propagate per-corner arrival lanes (enables the
@@ -48,8 +44,7 @@ int usage() {
                "[--deck path]\n"
                "                 [--threads N] [--queue N] [--deadline-ms X] "
                "[--solve-deadline-ms X]\n"
-               "                 [--sta-threads N] [--schedule levels|deps] "
-               "[--no-cache] [--corners]\n"
+               "                 [--sta-threads N] [--no-cache] [--corners]\n"
                "                 [--fault-spec SPEC]\n");
   return 2;
 }
@@ -97,16 +92,6 @@ int main(int argc, char** argv) {
       opt.solve_deadline_ms = std::atof(argv[++i]);
     } else if (arg == "--sta-threads") {
       int_arg(&i, &opt.db.sta.threads);
-    } else if (arg == "--schedule" && i + 1 < argc) {
-      const std::string mode = argv[++i];
-      if (mode == "levels") {
-        opt.db.sta.schedule = sta::Schedule::levels;
-      } else if (mode == "deps") {
-        opt.db.sta.schedule = sta::Schedule::deps;
-      } else {
-        std::fprintf(stderr, "bad --schedule value: %s\n", mode.c_str());
-        return 2;
-      }
     } else if (arg == "--no-cache") {
       opt.db.sta.use_cache = false;
     } else if (arg == "--corners") {

@@ -15,9 +15,6 @@
 //                     analysis; with a period, also report slacks
 //   --threads N       STA worker lanes (same flag as the benches;
 //                     results are bit-identical for any N)
-//   --schedule M      STA stage schedule: levels (default) or deps (the
-//                     barrier-free dependency-counting scheduler;
-//                     bit-identical results)
 //   --corners         with --sta: characterize fast/slow corner models and
 //                     report per-corner worst arrivals plus setup/hold
 //                     slack at the given period
@@ -51,7 +48,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: qwm_sim <deck.sp|netlist.blif|gen:spec> [--tran] "
                "[--tstep s] [--tstop s] [--sta [period]] [--threads N] "
-               "[--schedule levels|deps] [--corners] [--no-cache] [--write] "
+               "[--corners] [--no-cache] [--write] "
                "[--emit-blif path]\n");
   return 2;
 }
@@ -98,7 +95,7 @@ void run_transient(const qwm::netlist::FlatNetlist& nl,
 void run_sta(qwm::circuit::PartitionedDesign design,
              const qwm::netlist::FlatNetlist& nl,
              const qwm::device::ModelSet& models, double period, int threads,
-             qwm::sta::Schedule schedule, bool use_cache,
+             bool use_cache,
              const qwm::device::CornerLibrary* corner_lib) {
   using namespace qwm;
   for (const auto& w : design.warnings)
@@ -118,7 +115,6 @@ void run_sta(qwm::circuit::PartitionedDesign design,
   sta::StaOptions opt;
   opt.threads = threads;
   opt.use_cache = use_cache;
-  opt.schedule = schedule;
   sta::StaEngine sta =
       corner_lib ? sta::StaEngine(std::move(design), corner_lib->sets(), opt)
                  : sta::StaEngine(std::move(design), models, opt);
@@ -128,12 +124,8 @@ void run_sta(qwm::circuit::PartitionedDesign design,
   std::printf("%zu QWM stage evaluations; worst arrival %.2f ps\n", evals,
               sta.worst_arrival() * 1e12);
   const sta::ScheduleStats& ss = sta.schedule_stats();
-  std::printf("schedule=%s levels=%zu barrier_syncs=%zu tasks_enqueued=%zu "
-              "ready_hwm=%zu chain_edges=%zu steals=%zu "
-              "classify_lock_waits=%zu\n",
-              schedule == sta::Schedule::deps ? "deps" : "levels", ss.levels,
-              ss.barrier_syncs, ss.tasks_enqueued, ss.ready_hwm,
-              ss.chain_edges, ss.steal_count, ss.classify_lock_waits);
+  std::printf("levels=%zu barrier_syncs=%zu widest_level=%zu\n", ss.levels,
+              ss.barrier_syncs, ss.ready_hwm);
   const core::QwmStats& qs = sta.qwm_stats();
   std::printf("regions=%zu newton_iterations=%zu linear_solves=%zu "
               "device_evals=%zu fallback_counts=%zu/%zu/%zu/%zu\n",
@@ -198,7 +190,6 @@ int main(int argc, char** argv) {
   bool do_tran = false, do_sta = false, do_write = false;
   bool use_cache = true, do_corners = false;
   int threads = 1;
-  sta::Schedule schedule = sta::Schedule::levels;
   double tstep = -1.0, tstop = -1.0, period = -1.0;
   // CLI values accept SPICE suffixes ("1p", "500p", "2n").
   const auto num_arg = [&](const char* s, double* out) {
@@ -222,16 +213,6 @@ int main(int argc, char** argv) {
       threads = std::atoi(argv[++i]);
       if (threads < 1) {
         std::fprintf(stderr, "bad --threads value: %s\n", argv[i]);
-        return 2;
-      }
-    } else if (arg == "--schedule" && i + 1 < argc) {
-      const std::string mode = argv[++i];
-      if (mode == "levels") {
-        schedule = sta::Schedule::levels;
-      } else if (mode == "deps") {
-        schedule = sta::Schedule::deps;
-      } else {
-        std::fprintf(stderr, "bad --schedule value: %s\n", mode.c_str());
         return 2;
       }
     } else if (arg == "--corners") {
@@ -290,7 +271,7 @@ int main(int argc, char** argv) {
     frontend::ElaboratedDesign elab =
         frontend::elaborate(loaded.netlist, models);
     run_sta(std::move(elab.design), elab.nl, models, period, threads,
-            schedule, use_cache, corner_lib.get());
+            use_cache, corner_lib.get());
     return 0;
   }
 
@@ -332,7 +313,7 @@ int main(int argc, char** argv) {
       corner_lib = std::make_unique<device::CornerLibrary>(proc);
     auto design = circuit::partition_netlist(parsed.netlist, models);
     run_sta(std::move(design), parsed.netlist, models, period, threads,
-            schedule, use_cache, corner_lib.get());
+            use_cache, corner_lib.get());
   }
   if (!do_tran && !do_sta && !do_write && !parsed.netlist.tran.present) {
     std::fprintf(stderr, "deck parsed OK (%zu mosfets, %zu nets); nothing "
