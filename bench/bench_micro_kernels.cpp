@@ -11,10 +11,13 @@
 //   --budget FILE     compare live work counters against a checked-in
 //                     budget (tools/perf_budget.json); exit 1 on excess
 // Work counters (Newton iterations, device-model evaluations, workspace
-// growth) are machine-deterministic, so the budget check stays stable on
-// loaded CI hosts where wall-clock timing is not.
+// growth, heap allocations) are machine-deterministic, so the budget check
+// stays stable on loaded CI hosts where wall-clock timing is not.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <random>
 #include <string>
 #include <vector>
@@ -26,6 +29,47 @@
 #include "qwm/numeric/sherman_morrison.h"
 #include "qwm/numeric/tridiagonal.h"
 #include "qwm/sta/sta.h"
+
+// Counting global operator new: every heap allocation in this binary
+// goes through it, so the counter mode can pin how many the hot path
+// makes (decoder_steady_heap_allocs).
+namespace {
+std::atomic<std::uint64_t> g_heap_allocs{0};
+
+void* counted_alloc(std::size_t n) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+void* counted_alloc(std::size_t n, std::align_val_t al) {
+  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t a = static_cast<std::size_t>(al);
+  if (void* p = std::aligned_alloc(a, (n + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc(n); }
+void* operator new[](std::size_t n) { return counted_alloc(n); }
+void* operator new(std::size_t n, std::align_val_t al) {
+  return counted_alloc(n, al);
+}
+void* operator new[](std::size_t n, std::align_val_t al) {
+  return counted_alloc(n, al);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -212,9 +256,13 @@ int run_counter_mode(const KernelFlags& kf) {
   const auto qs = engine.qwm_stats();
   const auto ws1 = engine.workspace_stats();
   // Steady-state allocation check: a second full analysis through the
-  // same per-lane workspaces must not grow any scratch buffer.
+  // same per-lane workspaces must not grow any scratch buffer, and its
+  // heap allocations (operator new calls) are pinned too.
   engine.clear_cache();
+  const std::uint64_t allocs0 = g_heap_allocs.load();
   engine.run();
+  const std::uint64_t decoder_steady_heap_allocs =
+      g_heap_allocs.load() - allocs0;
   const auto ws2 = engine.workspace_stats();
   const std::uint64_t ws_grow_steady =
       static_cast<std::uint64_t>(ws2.grow_events - ws1.grow_events);
@@ -266,6 +314,7 @@ int run_counter_mode(const KernelFlags& kf) {
       {"corners3_device_evals", cqs.device_evals},
       {"corners3_vs_singles_diff", corners3_vs_singles_diff},
       {"ws_grow_steady", ws_grow_steady},
+      {"decoder_steady_heap_allocs", decoder_steady_heap_allocs},
       // Any nonzero value means a nominal workload needed the fallback
       // ladder — budgeted at 0: degradation on the pinned decks is a bug.
       {"fallback_total", stack_fallback + qs.fallback_total()},
@@ -361,7 +410,8 @@ int run_counter_mode(const KernelFlags& kf) {
         .integer("fallback_bisect", qs.fallback_counts[qwm::core::kRungBisect])
         .integer("fallback_spice", qs.fallback_counts[qwm::core::kRungSpice])
         .integer("ws_high_water_bytes", ws1.high_water_bytes)
-        .integer("ws_grow_steady", ws_grow_steady);
+        .integer("ws_grow_steady", ws_grow_steady)
+        .integer("steady_heap_allocs", decoder_steady_heap_allocs);
     JsonObject corners3;
     corners3.integer("corners", 3)
         .integer("newton_iters", cqs.newton_iterations)

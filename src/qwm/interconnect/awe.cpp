@@ -28,7 +28,7 @@ std::optional<AweApprox> try_order(const std::vector<double>& m, int q) {
 
   // Roots x_i of lambda^q - c_{q-1} lambda^{q-1} - ... - c_0; poles are
   // p_i = 1/x_i.
-  std::vector<double> roots;
+  numeric::Roots roots;
   if (q == 1) {
     roots = {coef[0]};
   } else if (q == 2) {

@@ -25,7 +25,7 @@ std::optional<double> bisect(const std::function<double(double)>& f, double lo,
   return 0.5 * (lo + hi);
 }
 
-std::vector<double> quadratic_roots(double a, double b, double c) {
+Roots quadratic_roots(double a, double b, double c) {
   const double scale = std::max({std::abs(a), std::abs(b), std::abs(c), 1e-300});
   if (std::abs(a) < 1e-14 * scale) {
     if (std::abs(b) < 1e-14 * scale) return {};
@@ -36,20 +36,20 @@ std::vector<double> quadratic_roots(double a, double b, double c) {
   const double sq = std::sqrt(disc);
   // Numerically stable form: compute the larger-magnitude root first.
   const double q = -0.5 * (b + (b >= 0.0 ? sq : -sq));
-  std::vector<double> roots;
+  Roots roots;
   roots.push_back(q / a);
   if (q != 0.0) roots.push_back(c / q);
   else roots.push_back(0.0);
-  std::sort(roots.begin(), roots.end());
+  roots.sort();
   return roots;
 }
 
-std::vector<double> cubic_roots_monic(double a, double b, double c) {
+Roots cubic_roots_monic(double a, double b, double c) {
   // Depress: x = t - a/3 -> t^3 + p t + q = 0.
   const double p = b - a * a / 3.0;
   const double q = 2.0 * a * a * a / 27.0 - a * b / 3.0 + c;
   const double shift = -a / 3.0;
-  std::vector<double> roots;
+  Roots roots;
   const double disc = q * q / 4.0 + p * p * p / 27.0;
   if (disc > 1e-300) {
     const double sq = std::sqrt(disc);
@@ -68,7 +68,7 @@ std::vector<double> cubic_roots_monic(double a, double b, double c) {
     for (int k = 0; k < 3; ++k)
       roots.push_back(m * std::cos((phi + 2.0 * M_PI * k) / 3.0) + shift);
   }
-  std::sort(roots.begin(), roots.end());
+  roots.sort();
   return roots;
 }
 

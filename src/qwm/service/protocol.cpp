@@ -1,7 +1,6 @@
 #include "qwm/service/protocol.h"
 
 #include <cctype>
-#include <cstdio>
 #include <cstdlib>
 #include <vector>
 
@@ -138,10 +137,6 @@ std::string err_line(const std::string& code, const std::string& message) {
   return out;
 }
 
-std::string ok_degraded_line(const std::string& payload) {
-  return payload.empty() ? "OK DEGRADED" : "OK DEGRADED " + payload;
-}
-
 bool is_ok(const std::string& response) {
   return response == "OK" || response.rfind("OK ", 0) == 0;
 }
@@ -187,10 +182,31 @@ std::string with_field(const std::string& response, const std::string& key,
   return response + " " + needle + value;
 }
 
+namespace {
+
+/// Long enough for any double at 17 significant digits
+/// ("-1.2345678901234567e-308" is 24 bytes).
+constexpr std::size_t kDoubleChars = 32;
+
+/// Writes v's "%.17g" bytes to buf; returns their count.
+std::size_t print_double(char* buf, double v) {
+  const char* end = std::to_chars(buf, buf + kDoubleChars, v,
+                                  std::chars_format::general, 17)
+                        .ptr;
+  return static_cast<std::size_t>(end - buf);
+}
+
+}  // namespace
+
 std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  char buf[kDoubleChars];
+  return std::string(buf, print_double(buf, v));
+}
+
+ReplyLine& ReplyLine::put(double v) {
+  char buf[kDoubleChars];
+  line_.append(buf, print_double(buf, v));
+  return *this;
 }
 
 std::string response_field(const std::string& response, const std::string& key) {

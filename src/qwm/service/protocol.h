@@ -26,12 +26,16 @@
 // err_code() extracts the code so clients classify by token instead of
 // ad-hoc prefix matching.
 //
-// Doubles are printed with "%.17g" so a response round-trips the exact
-// bits of the engine's answer — the property the cross-engine
-// verification in qwm_load and the service stress test rely on.
+// Doubles are printed as "%.17g" would print them, so a response
+// round-trips the exact bits of the engine's answer — the property the
+// cross-engine verification in qwm_load and the service stress test rely
+// on.
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <string>
+#include <string_view>
 
 namespace qwm::service {
 
@@ -75,13 +79,13 @@ struct ParsedRequest {
 ParsedRequest parse_request(const std::string& line);
 
 /// Response construction. Both return a full line without the newline.
+/// Replies with fields are built by ReplyLine (below), which also writes
+/// "OK DEGRADED ...": the answer is usable but was produced by the QWM
+/// fallback ladder (or depends on an upstream fallback result) — within
+/// documented tolerance, not nominal-accuracy. is_ok() accepts it;
+/// clients that care test is_degraded().
 std::string ok_line(const std::string& payload);
 std::string err_line(const std::string& code, const std::string& message);
-/// "OK DEGRADED <payload>": the answer is usable but was produced by the
-/// QWM fallback ladder (or depends on an upstream fallback result) —
-/// within documented tolerance, not nominal-accuracy. is_ok() accepts it;
-/// clients that care test is_degraded().
-std::string ok_degraded_line(const std::string& payload);
 
 bool is_ok(const std::string& response);
 /// True when the response is "OK DEGRADED ..." (a usable fallback answer).
@@ -108,8 +112,50 @@ bool retryable_code(const std::string& code);
 std::string with_field(const std::string& response, const std::string& key,
                        const std::string& value);
 
-/// "%.17g": doubles survive a print/parse round trip bit-exactly.
+/// The bytes of "%.17g", printed by std::to_chars (general format,
+/// precision 17): doubles survive a print/parse round trip bit-exactly.
 std::string format_double(double v);
+
+/// Builds one "OK" reply line by appending " key=value" fields into a
+/// single string: no iostreams, and doubles print as format_double does.
+class ReplyLine {
+ public:
+  /// "OK", or "OK DEGRADED" for an answer resting on fallback-ladder data.
+  explicit ReplyLine(bool degraded = false)
+      : line_(degraded ? "OK DEGRADED" : "OK") {}
+
+  /// Appends " key=" (the value follows through put()); a key in two
+  /// parts is appended as their concatenation ("typical" "_rise").
+  ReplyLine& key(std::string_view k, std::string_view k2 = {}) {
+    line_ += ' ';
+    line_ += k;
+    line_ += k2;
+    line_ += '=';
+    return *this;
+  }
+  ReplyLine& put(std::string_view s) {
+    line_ += s;
+    return *this;
+  }
+  ReplyLine& put(double v);
+  template <std::integral I>
+  ReplyLine& put(I v) {
+    char buf[24];
+    const char* end = std::to_chars(buf, buf + sizeof buf, v).ptr;
+    line_.append(buf, static_cast<std::size_t>(end - buf));
+    return *this;
+  }
+  template <class T>
+  ReplyLine& field(std::string_view k, const T& v) {
+    return key(k).put(v);
+  }
+
+  /// The finished line, moved out: the last call on a ReplyLine.
+  std::string str() { return std::move(line_); }
+
+ private:
+  std::string line_;
+};
 
 /// Extracts the value of `key` from an "OK k=v k=v ..." payload line;
 /// empty string when absent.

@@ -4,7 +4,7 @@
 #include <chrono>
 #include <istream>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "qwm/support/fault_injection.h"
@@ -51,12 +51,14 @@ Server::Server(ServerOptions opt)
 Server::~Server() { request_shutdown(); }
 
 void Server::note_result(Verb v, double ms, bool ok) {
-  std::lock_guard lock(stats_mu_);
-  VerbStats& s = stats_.verb[static_cast<int>(v)];
-  ++s.requests;
-  if (!ok) ++s.errors;
-  s.total_ms += ms;
-  if (ms > s.max_ms) s.max_ms = ms;
+  VerbCounters& c = verb_[static_cast<int>(v)];
+  c.requests.fetch_add(1, std::memory_order_relaxed);
+  if (!ok) c.errors.fetch_add(1, std::memory_order_relaxed);
+  c.total_ms.fetch_add(ms, std::memory_order_relaxed);
+  double seen = c.max_ms.load(std::memory_order_relaxed);
+  while (ms > seen &&
+         !c.max_ms.compare_exchange_weak(seen, ms, std::memory_order_relaxed)) {
+  }
 }
 
 void Server::refresh_mirrors(std::uint64_t epoch, bool loaded) {
@@ -66,27 +68,24 @@ void Server::refresh_mirrors(std::uint64_t epoch, bool loaded) {
 
 std::string Server::health_line() {
   health_probes_.fetch_add(1, std::memory_order_relaxed);
-  std::ostringstream os;
-  os << "health=1 loaded=" << (loaded_mirror_.load(std::memory_order_relaxed)
-                                   ? 1
-                                   : 0)
-     << " epoch=" << epoch_mirror_.load(std::memory_order_relaxed);
-  return ok_line(os.str());
+  return ReplyLine()
+      .field("health", 1)
+      .field("loaded", loaded_mirror_.load(std::memory_order_relaxed) ? 1 : 0)
+      .field("epoch", epoch_mirror_.load(std::memory_order_relaxed))
+      .str();
 }
 
 std::string Server::handle_line(const std::string& line) {
-  std::string text = line;
   // Injected transport corruption: drive the malformed-frame path
   // deterministically (the frame arrives garbled, not the parser broken).
+  // Only then is the request line copied.
+  std::string garbled;
   if (support::fire_fault(support::FaultSite::kMalformedFrame))
-    text.insert(0, "\x01\x02 ");
-  const ParsedRequest p = parse_request(text);
+    garbled = "\x01\x02 " + line;
+  const ParsedRequest p = parse_request(garbled.empty() ? line : garbled);
   if (!p.ok) {
     if (p.code.empty()) return "";  // blank / comment
-    {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.malformed;
-    }
+    malformed_.fetch_add(1, std::memory_order_relaxed);
     return err_line(p.code, p.error);
   }
   const Request& r = p.request;
@@ -104,7 +103,6 @@ std::string Server::handle_line(const std::string& line) {
     return err_line("INJECTED", "fault injection: request failed");
   }
   std::string resp;
-  std::ostringstream os;
   switch (r.verb) {
     case Verb::kLoad: {
       const LoadReply reply = db_.load_file(r.path);
@@ -113,11 +111,15 @@ std::string Server::handle_line(const std::string& line) {
         break;
       }
       refresh_mirrors(reply.epoch, true);
-      os << "epoch=" << reply.epoch << " session=" << reply.session
-         << " stages=" << reply.stages << " nets=" << reply.nets
-         << " evals=" << reply.evals << " warnings=" << reply.warnings.size()
-         << " worst=" << format_double(reply.worst);
-      resp = ok_line(os.str());
+      resp = ReplyLine()
+                 .field("epoch", reply.epoch)
+                 .field("session", reply.session)
+                 .field("stages", reply.stages)
+                 .field("nets", reply.nets)
+                 .field("evals", reply.evals)
+                 .field("warnings", reply.warnings.size())
+                 .field("worst", reply.worst)
+                 .str();
       break;
     }
     case Verb::kArrival: {
@@ -127,17 +129,18 @@ std::string Server::handle_line(const std::string& line) {
         break;
       }
       const auto& t = reply.timing;
-      os << "net=" << r.net << " epoch=" << reply.epoch
-         << " rise_valid=" << (t.rise.valid() ? 1 : 0)
-         << " rise=" << format_double(t.rise.time)
-         << " rise_slew=" << format_double(t.rise.slew)
-         << " fall_valid=" << (t.fall.valid() ? 1 : 0)
-         << " fall=" << format_double(t.fall.time)
-         << " fall_slew=" << format_double(t.fall.slew)
-         << " rise_degraded=" << (t.rise.degraded ? 1 : 0)
-         << " fall_degraded=" << (t.fall.degraded ? 1 : 0);
-      resp = (t.rise.degraded || t.fall.degraded) ? ok_degraded_line(os.str())
-                                                  : ok_line(os.str());
+      resp = ReplyLine(t.rise.degraded || t.fall.degraded)
+                 .field("net", r.net)
+                 .field("epoch", reply.epoch)
+                 .field("rise_valid", t.rise.valid() ? 1 : 0)
+                 .field("rise", t.rise.time)
+                 .field("rise_slew", t.rise.slew)
+                 .field("fall_valid", t.fall.valid() ? 1 : 0)
+                 .field("fall", t.fall.time)
+                 .field("fall_slew", t.fall.slew)
+                 .field("rise_degraded", t.rise.degraded ? 1 : 0)
+                 .field("fall_degraded", t.fall.degraded ? 1 : 0)
+                 .str();
       break;
     }
     case Verb::kCorners: {
@@ -146,24 +149,26 @@ std::string Server::handle_line(const std::string& line) {
         resp = err_line(reply.status.code, reply.status.message);
         break;
       }
-      os << "net=" << r.net << " epoch=" << reply.epoch
-         << " corners=" << reply.corners.size();
+      ReplyLine out(reply.degraded);
+      out.field("net", r.net)
+          .field("epoch", reply.epoch)
+          .field("corners", reply.corners.size());
       for (const auto& ct : reply.corners) {
-        const char* cn = device::corner_name(ct.corner);
-        os << " " << cn << "_rise_valid=" << (ct.timing.rise.valid() ? 1 : 0)
-           << " " << cn << "_rise=" << format_double(ct.timing.rise.time)
-           << " " << cn << "_fall_valid=" << (ct.timing.fall.valid() ? 1 : 0)
-           << " " << cn << "_fall=" << format_double(ct.timing.fall.time);
+        const std::string_view cn = device::corner_name(ct.corner);
+        out.key(cn, "_rise_valid").put(ct.timing.rise.valid() ? 1 : 0);
+        out.key(cn, "_rise").put(ct.timing.rise.time);
+        out.key(cn, "_fall_valid").put(ct.timing.fall.valid() ? 1 : 0);
+        out.key(cn, "_fall").put(ct.timing.fall.time);
       }
       if (r.period > 0.0) {
-        os << " valid=" << (reply.setup_hold.valid ? 1 : 0)
-           << " latest=" << format_double(reply.setup_hold.latest)
-           << " earliest=" << format_double(reply.setup_hold.earliest)
-           << " setup_slack=" << format_double(reply.setup_hold.setup_slack)
-           << " hold_slack=" << format_double(reply.setup_hold.hold_slack);
+        const auto& sh = reply.setup_hold;
+        out.field("valid", sh.valid ? 1 : 0)
+            .field("latest", sh.latest)
+            .field("earliest", sh.earliest)
+            .field("setup_slack", sh.setup_slack)
+            .field("hold_slack", sh.hold_slack);
       }
-      os << " degraded=" << (reply.degraded ? 1 : 0);
-      resp = reply.degraded ? ok_degraded_line(os.str()) : ok_line(os.str());
+      resp = out.field("degraded", reply.degraded ? 1 : 0).str();
       break;
     }
     case Verb::kSlack: {
@@ -172,12 +177,14 @@ std::string Server::handle_line(const std::string& line) {
         resp = err_line(reply.status.code, reply.status.message);
         break;
       }
-      os << "net=" << r.net << " epoch=" << reply.epoch
-         << " valid=" << (reply.slack.valid ? 1 : 0)
-         << " required=" << format_double(reply.slack.required)
-         << " slack=" << format_double(reply.slack.slack)
-         << " degraded=" << (reply.degraded ? 1 : 0);
-      resp = reply.degraded ? ok_degraded_line(os.str()) : ok_line(os.str());
+      resp = ReplyLine(reply.degraded)
+                 .field("net", r.net)
+                 .field("epoch", reply.epoch)
+                 .field("valid", reply.slack.valid ? 1 : 0)
+                 .field("required", reply.slack.required)
+                 .field("slack", reply.slack.slack)
+                 .field("degraded", reply.degraded ? 1 : 0)
+                 .str();
       break;
     }
     case Verb::kCritPath: {
@@ -186,15 +193,18 @@ std::string Server::handle_line(const std::string& line) {
         resp = err_line(reply.status.code, reply.status.message);
         break;
       }
-      os << "epoch=" << reply.epoch << " worst=" << format_double(reply.worst)
-         << " steps=" << reply.steps.size() << " path=";
+      ReplyLine out;
+      out.field("epoch", reply.epoch)
+          .field("worst", reply.worst)
+          .field("steps", reply.steps.size())
+          .key("path");
       for (std::size_t i = 0; i < reply.steps.size(); ++i) {
         const auto& s = reply.steps[i];
-        if (i) os << ";";
-        os << s.net << ":" << (s.rising ? "R" : "F") << ":"
-           << format_double(s.arrival) << ":" << s.stage;
+        if (i) out.put(";");
+        out.put(s.net).put(s.rising ? ":R:" : ":F:").put(s.arrival);
+        out.put(":").put(s.stage);
       }
-      resp = ok_line(os.str());
+      resp = out.str();
       break;
     }
     case Verb::kResize: {
@@ -204,10 +214,13 @@ std::string Server::handle_line(const std::string& line) {
         break;
       }
       refresh_mirrors(reply.epoch, true);
-      os << "epoch=" << reply.epoch << " stage=" << r.stage
-         << " edge=" << r.edge << " width=" << format_double(r.width)
-         << " staged=1";
-      resp = ok_line(os.str());
+      resp = ReplyLine()
+                 .field("epoch", reply.epoch)
+                 .field("stage", r.stage)
+                 .field("edge", r.edge)
+                 .field("width", r.width)
+                 .field("staged", 1)
+                 .str();
       break;
     }
     case Verb::kUpdate: {
@@ -217,9 +230,11 @@ std::string Server::handle_line(const std::string& line) {
         break;
       }
       refresh_mirrors(reply.epoch, true);
-      os << "epoch=" << reply.epoch << " evals=" << reply.evals
-         << " worst=" << format_double(reply.worst);
-      resp = ok_line(os.str());
+      resp = ReplyLine()
+                 .field("epoch", reply.epoch)
+                 .field("evals", reply.evals)
+                 .field("worst", reply.worst)
+                 .str();
       break;
     }
     case Verb::kStats: {
@@ -228,41 +243,47 @@ std::string Server::handle_line(const std::string& line) {
       std::uint64_t total = 0;
       for (const auto& v : sv.verb) total += v.requests;
       const TransportStats ts = transport_.stats();
-      os << "epoch=" << db.epoch << " session=" << db.session
-         << " loaded=" << (db.loaded ? 1 : 0) << " stages=" << db.stages
-         << " requests=" << total << " malformed=" << sv.malformed
-         << " busy=" << sv.busy_rejections
-         << " deadline=" << sv.deadline_expirations
-         << " solve_deadline=" << sv.solve_deadline_expirations
-         << " degraded=" << sv.degraded_replies
-         << " health_probes=" << sv.health_probes
-         << " dropped_conns=" << ts.dropped_connections
-         << " stalled_replies=" << ts.stalled_replies
-         << " corrupted_replies=" << ts.corrupted_replies
-         << " fallback_nominal=" << db.qwm.fallback_counts[core::kRungNominal]
-         << " fallback_damped=" << db.qwm.fallback_counts[core::kRungDamped]
-         << " fallback_bisect=" << db.qwm.fallback_counts[core::kRungBisect]
-         << " fallback_spice=" << db.qwm.fallback_counts[core::kRungSpice]
-         << " cache_hits=" << db.cache.hits
-         << " cache_misses=" << db.cache.misses
-         << " slack_memo_hits=" << db.slack_cache_hits
-         << " slack_memo_misses=" << db.slack_cache_misses
-         << " newton_iters=" << db.qwm.newton_iterations
-         << " device_evals=" << db.qwm.device_evals
-         << " ws_bytes=" << db.workspace.high_water_bytes
-         << " ws_grows=" << db.workspace.grow_events
-         << " sched_levels=" << db.sched.levels
-         << " barrier_syncs=" << db.sched.barrier_syncs;
+      const auto& fb = db.qwm.fallback_counts;
+      ReplyLine out;
+      out.field("epoch", db.epoch)
+          .field("session", db.session)
+          .field("loaded", db.loaded ? 1 : 0)
+          .field("stages", db.stages)
+          .field("requests", total)
+          .field("malformed", sv.malformed)
+          .field("busy", sv.busy_rejections)
+          .field("deadline", sv.deadline_expirations)
+          .field("solve_deadline", sv.solve_deadline_expirations)
+          .field("degraded", sv.degraded_replies)
+          .field("health_probes", sv.health_probes)
+          .field("dropped_conns", ts.dropped_connections)
+          .field("stalled_replies", ts.stalled_replies)
+          .field("corrupted_replies", ts.corrupted_replies)
+          .field("fallback_nominal", fb[core::kRungNominal])
+          .field("fallback_damped", fb[core::kRungDamped])
+          .field("fallback_bisect", fb[core::kRungBisect])
+          .field("fallback_spice", fb[core::kRungSpice])
+          .field("cache_hits", db.cache.hits)
+          .field("cache_misses", db.cache.misses)
+          .field("slack_memo_hits", db.slack_cache_hits)
+          .field("slack_memo_misses", db.slack_cache_misses)
+          .field("newton_iters", db.qwm.newton_iterations)
+          .field("device_evals", db.qwm.device_evals)
+          .field("ws_bytes", db.workspace.high_water_bytes)
+          .field("ws_grows", db.workspace.grow_events)
+          .field("sched_levels", db.sched.levels)
+          .field("barrier_syncs", db.sched.barrier_syncs);
       for (int i = 0; i < kVerbCount; ++i) {
         const VerbStats& v = sv.verb[i];
         if (v.requests == 0) continue;
-        const char* name = verb_name(static_cast<Verb>(i));
-        os << " " << name << ".count=" << v.requests << " " << name
-           << ".err=" << v.errors << " " << name << ".mean_ms="
-           << format_double(v.total_ms / static_cast<double>(v.requests))
-           << " " << name << ".max_ms=" << format_double(v.max_ms);
+        const std::string_view name = verb_name(static_cast<Verb>(i));
+        out.key(name, ".count").put(v.requests);
+        out.key(name, ".err").put(v.errors);
+        out.key(name, ".mean_ms")
+            .put(v.total_ms / static_cast<double>(v.requests));
+        out.key(name, ".max_ms").put(v.max_ms);
       }
-      resp = ok_line(os.str());
+      resp = out.str();
       break;
     }
     case Verb::kHealth: {
@@ -283,17 +304,12 @@ std::string Server::handle_line(const std::string& line) {
   const double exec_ms = ms_between(t0, Clock::now());
   if (opt_.solve_deadline_ms > 0.0 && exec_ms > opt_.solve_deadline_ms &&
       r.verb != Verb::kShutdown && is_ok(resp)) {
-    {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.solve_deadline_expirations;
-    }
+    solve_deadline_expirations_.fetch_add(1, std::memory_order_relaxed);
     resp = err_line("DEGRADED", "solve took " + format_double(exec_ms) +
                                     " ms (past solve deadline); retry");
   }
-  if (is_degraded(resp)) {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.degraded_replies;
-  }
+  if (is_degraded(resp))
+    degraded_replies_.fetch_add(1, std::memory_order_relaxed);
   note_result(r.verb, exec_ms, is_ok(resp));
   return resp;
 }
@@ -308,10 +324,17 @@ void Server::serve() { transport_.serve(); }
 
 ServerStats Server::stats() const {
   ServerStats s;
-  {
-    std::lock_guard lock(stats_mu_);
-    s = stats_;
+  for (int i = 0; i < kVerbCount; ++i) {
+    const VerbCounters& c = verb_[i];
+    s.verb[i].requests = c.requests.load(std::memory_order_relaxed);
+    s.verb[i].errors = c.errors.load(std::memory_order_relaxed);
+    s.verb[i].total_ms = c.total_ms.load(std::memory_order_relaxed);
+    s.verb[i].max_ms = c.max_ms.load(std::memory_order_relaxed);
   }
+  s.malformed = malformed_.load(std::memory_order_relaxed);
+  s.solve_deadline_expirations =
+      solve_deadline_expirations_.load(std::memory_order_relaxed);
+  s.degraded_replies = degraded_replies_.load(std::memory_order_relaxed);
   const TransportStats ts = transport_.stats();
   s.busy_rejections = ts.busy_rejections;
   s.deadline_expirations = ts.deadline_expirations;

@@ -20,7 +20,6 @@
 #include <atomic>
 #include <cstdint>
 #include <iosfwd>
-#include <mutex>
 #include <string>
 
 #include "qwm/service/design_db.h"
@@ -128,8 +127,18 @@ class Server {
   std::atomic<bool> loaded_mirror_{false};
   std::atomic<std::uint64_t> health_probes_{0};
 
-  mutable std::mutex stats_mu_;
-  ServerStats stats_;
+  /// Per-verb accounting in relaxed atomics: no request takes a lock to
+  /// count itself, and stats() reads a snapshot field by field.
+  struct VerbCounters {
+    std::atomic<std::uint64_t> requests{0};
+    std::atomic<std::uint64_t> errors{0};
+    std::atomic<double> total_ms{0.0};
+    std::atomic<double> max_ms{0.0};
+  };
+  VerbCounters verb_[kVerbCount];
+  std::atomic<std::uint64_t> malformed_{0};
+  std::atomic<std::uint64_t> solve_deadline_expirations_{0};
+  std::atomic<std::uint64_t> degraded_replies_{0};
 };
 
 }  // namespace qwm::service

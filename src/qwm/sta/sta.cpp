@@ -81,6 +81,8 @@ void StaEngine::set_input_arrival(netlist::NetId net, double rise_time,
   // diverge only through stage delays.
   for (auto& lane : timing_) lane[id] = t;
   written_[id] = 1;
+  // Overwriting a stage output may move the worst endpoint either way.
+  if (id < scan_pos_.size() && scan_pos_[id] >= 0) rescan_worst();
 }
 
 const NetTiming& StaEngine::timing_in(std::size_t slot,
@@ -185,7 +187,11 @@ void StaEngine::build_schedule() {
     }
   }
   endpoint_.assign(static_cast<std::size_t>(max_net + 1), 0);
-  for (netlist::NetId out : output_nets_) endpoint_[out] = 1;
+  scan_pos_.assign(endpoint_.size(), -1);
+  for (std::size_t i = output_nets_.size(); i-- > 0;) {
+    endpoint_[output_nets_[i]] = 1;
+    scan_pos_[output_nets_[i]] = static_cast<int>(2 * i);
+  }
   for (const auto& info : design_.stages)
     for (netlist::NetId in : info.input_nets) endpoint_[in] = 0;
   // Consumers sit in later levels, so walking the levels backwards
@@ -348,18 +354,52 @@ bool StaEngine::apply_record(int stage_index, const OutputRecord& rec) {
   written_[id] = 1;
   NetTiming& t = timing_[static_cast<std::size_t>(rec.corner_slot)][id];
   Arrival& slot = rec.rising ? t.rise : t.fall;
-  if (a.valid() &&
-      (!slot.valid() || std::abs(a.time - slot.time) > kTimeTol ||
-       std::abs(a.slew - slot.slew) > kTimeTol ||
-       slot.degraded != a.degraded)) {
-    slot = a;
-    return true;
+  const bool changed =
+      a.valid() ? !slot.valid() || std::abs(a.time - slot.time) > kTimeTol ||
+                      std::abs(a.slew - slot.slew) > kTimeTol ||
+                      slot.degraded != a.degraded
+                : slot.valid() && slot.from_stage >= 0;
+  if (!changed) return false;
+  const double before = slot.time;
+  slot = a.valid() ? a : Arrival{};
+  if (rec.corner_slot == 0)
+    track_worst(scan_pos_[id] + (rec.rising ? 0 : 1), before);
+  return true;
+}
+
+const Arrival& StaEngine::scan_arrival(int pos) const {
+  const NetTiming& t =
+      timing_[0][static_cast<std::size_t>(output_nets_[pos / 2])];
+  return pos % 2 == 0 ? t.rise : t.fall;
+}
+
+void StaEngine::track_worst(int pos, double before) {
+  if (worst_stale_) return;  // a rescan is due anyway
+  const Arrival& a = scan_arrival(pos);
+  if (pos == worst_pos_) {
+    // Later keeps its place; earlier or invalid may hand it to any other.
+    if (!a.valid() || a.time < before) worst_stale_ = true;
+    return;
   }
-  if (!a.valid() && slot.valid() && slot.from_stage >= 0) {
-    slot = Arrival{};
-    return true;
+  if (!a.valid()) return;
+  if (worst_pos_ < 0) {
+    worst_pos_ = pos;
+    return;
   }
-  return false;
+  const double worst = scan_arrival(worst_pos_).time;
+  if (a.time > worst || (!(worst > a.time) && pos < worst_pos_))
+    worst_pos_ = pos;
+}
+
+void StaEngine::rescan_worst() {
+  worst_pos_ = -1;
+  worst_stale_ = false;
+  for (int pos = 0; pos < static_cast<int>(2 * output_nets_.size()); ++pos) {
+    const Arrival& a = scan_arrival(pos);
+    if (a.valid() &&
+        (worst_pos_ < 0 || a.time > scan_arrival(worst_pos_).time))
+      worst_pos_ = pos;
+  }
 }
 
 std::vector<char> StaEngine::evaluate_level(const std::vector<int>& stages,
@@ -473,6 +513,7 @@ std::size_t StaEngine::run() {
     for (int s : level) dirty_[s] = 0;
   }
   drop_run_only();
+  if (worst_stale_) rescan_worst();
   return evals_ - before;
 }
 
@@ -509,6 +550,7 @@ std::size_t StaEngine::update() {
     }
   }
   drop_run_only();
+  if (worst_stale_) rescan_worst();
   return evals_ - before;
 }
 
@@ -623,19 +665,15 @@ double StaEngine::worst_hold_slack(double hold_time) const {
   return worst;
 }
 
-// The scans below index the primary lane directly: every stage output
-// lies inside the store, and an entry never written holds the invalid
-// NetTiming the miss path would return.
 double StaEngine::worst_arrival() const {
-  double worst = 0.0;
-  for (netlist::NetId n : output_nets_) {
-    const NetTiming& t = timing_[0][static_cast<std::size_t>(n)];
-    if (t.rise.valid()) worst = std::max(worst, t.rise.time);
-    if (t.fall.valid()) worst = std::max(worst, t.fall.time);
-  }
-  return worst;
+  if (worst_pos_ < 0) return 0.0;
+  const double t = scan_arrival(worst_pos_).time;
+  return t > 0.0 ? t : 0.0;
 }
 
+// arc_counts indexes the primary lane directly: every stage output lies
+// inside the store, and an entry never written holds the invalid
+// NetTiming the miss path would return.
 ArcCounts StaEngine::arc_counts() const {
   ArcCounts c;
   for (netlist::NetId n : output_nets_) {
@@ -653,24 +691,11 @@ ArcCounts StaEngine::arc_counts() const {
 }
 
 std::vector<CriticalPathStep> StaEngine::critical_path() const {
-  // Find the worst endpoint.
-  netlist::NetId net = -1;
-  bool rising = false;
-  double worst = -1.0;
-  for (netlist::NetId n : output_nets_) {
-    const NetTiming& t = timing_[0][static_cast<std::size_t>(n)];
-    if (t.rise.valid() && t.rise.time > worst) {
-      worst = t.rise.time;
-      net = n;
-      rising = true;
-    }
-    if (t.fall.valid() && t.fall.time > worst) {
-      worst = t.fall.time;
-      net = n;
-      rising = false;
-    }
-  }
-  return critical_path(net, rising);
+  // An endpoint no later than -1 s starts no path (the scan this replaced
+  // began its search there).
+  if (worst_pos_ < 0 || !(scan_arrival(worst_pos_).time > -1.0)) return {};
+  return critical_path(output_nets_[static_cast<std::size_t>(worst_pos_ / 2)],
+                       worst_pos_ % 2 == 0);
 }
 
 std::vector<CriticalPathStep> StaEngine::critical_path(netlist::NetId endpoint,

@@ -180,11 +180,14 @@ class StaEngine {
     return models_.corners;
   }
   bool multi_corner() const { return models_.multi(); }
-  /// The design's worst arrival (over all stage output nets, both edges).
+  /// The design's worst arrival (over all stage output nets, both edges;
+  /// 0 when none is later). O(1): the worst endpoint is kept current by
+  /// the merge (see worst_pos_).
   double worst_arrival() const;
   /// Arc outcomes of the primary lane.
   ArcCounts arc_counts() const;
-  /// Critical path from the worst endpoint back to a primary input.
+  /// Critical path from the worst endpoint back to a primary input; walks
+  /// only the path.
   std::vector<CriticalPathStep> critical_path() const;
   /// Backtrace from a specific endpoint arrival instead of the global
   /// worst; `rising` selects the edge. Empty when the arrival is invalid.
@@ -339,6 +342,13 @@ class StaEngine {
   void drop_run_only();
   /// Applies a record's result to the timing store; true if it changed.
   bool apply_record(int stage_index, const OutputRecord& rec);
+  /// Primary-lane arrival at scan position `pos` (see worst_pos_).
+  const Arrival& scan_arrival(int pos) const;
+  /// Folds a change of the primary-lane arrival at scan position `pos`,
+  /// whose time was `before`, into the worst endpoint.
+  void track_worst(int pos, double before);
+  /// Re-derives the worst endpoint with the stage-order scan.
+  void rescan_worst();
 
   /// Memo identity of a stage: structural hash + load bits, computed
   /// lazily and invalidated by resize_transistor.
@@ -377,6 +387,19 @@ class StaEngine {
   std::vector<std::vector<int>> consumers_;
   /// Stage-output nets in stage order: the scans' list.
   std::vector<netlist::NetId> output_nets_;
+  /// Per NetId: the scan position of the net's rising edge (2 x its first
+  /// index in output_nets_; the falling edge follows it), or -1 when no
+  /// stage drives the net.
+  std::vector<int> scan_pos_;
+  /// The primary lane's worst endpoint, as a scan position (-1: no stage
+  /// output has an arrival): the first position, scanning output_nets_
+  /// with rise before fall, whose time no other arrival exceeds. The
+  /// serial merge keeps it current. An arrival that passes it, or ties it
+  /// from an earlier position, takes its place; when the worst endpoint
+  /// itself gets earlier or loses its arrival, worst_stale_ defers one
+  /// rescan to the end of the run()/update().
+  int worst_pos_ = -1;
+  bool worst_stale_ = false;
   /// Stage-output nets in reverse topological order: the slack walk's
   /// list.
   std::vector<netlist::NetId> slack_order_;

@@ -5,9 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <string>
+#include <vector>
 
 namespace qwm::service {
 namespace {
@@ -120,6 +125,52 @@ TEST(Protocol, FormatDoubleRoundTripsBits) {
     EXPECT_EQ(back, v) << format_double(v);
   }
   EXPECT_EQ(format_double(-std::numeric_limits<double>::infinity()), "-inf");
+}
+
+TEST(Protocol, FormatDoubleMatchesPrintf) {
+  // format_double prints with std::to_chars; every reply must keep the
+  // bytes "%.17g" printed before it.
+  const auto printf17 = [](double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+    return std::string(buf);
+  };
+  using L = std::numeric_limits<double>;
+  std::vector<double> values = {0.0,
+                                -0.0,
+                                L::infinity(),
+                                -L::infinity(),
+                                L::quiet_NaN(),
+                                -L::quiet_NaN(),
+                                L::denorm_min(),
+                                -L::denorm_min(),
+                                L::min(),
+                                -L::min(),
+                                L::max(),
+                                -L::max(),
+                                L::min() / 3.0,
+                                1e-5,
+                                1e-4,
+                                1e16,
+                                1e17,
+                                123456789012345678.0,
+                                1.964184362427779e-11};
+  std::mt19937_64 rng(20261021);
+  for (int i = 0; i < 100000; ++i) {
+    // Raw bit patterns cover every exponent, subnormals and NaN payloads.
+    const std::uint64_t b = rng();
+    double v;
+    std::memcpy(&v, &b, sizeof v);
+    values.push_back(v);
+  }
+  std::size_t mismatches = 0;
+  for (const double v : values)
+    if (format_double(v) != printf17(v) && ++mismatches <= 5)
+      ADD_FAILURE() << format_double(v) << " vs " << printf17(v);
+  EXPECT_EQ(mismatches, 0u);
+  // The reply appender prints the same bytes.
+  for (const double v : {0.0, -0.0, L::denorm_min(), L::max(), -2.5e-11})
+    EXPECT_EQ(ReplyLine().field("v", v).str(), "OK v=" + printf17(v));
 }
 
 TEST(Protocol, ResponseFieldExtraction) {

@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -112,6 +113,70 @@ TEST(Server, HandleLineDispatch) {
   EXPECT_EQ(st.verb[static_cast<int>(Verb::kLoad)].requests, 1u);
   EXPECT_EQ(st.verb[static_cast<int>(Verb::kArrival)].requests, 2u);
   EXPECT_EQ(st.verb[static_cast<int>(Verb::kArrival)].errors, 1u);
+}
+
+TEST(Server, VerbCountersAreExactUnderConcurrentRequests) {
+  // The per-verb counters are relaxed atomics: four readers and a
+  // RESIZE/UPDATE writer hammer handle_line, and STATS must still count
+  // every request and every error exactly (and stay race-free under TSan).
+  Server server;
+  const std::string path = write_deck("server_counters.sp", 3);
+  ASSERT_TRUE(is_ok(server.handle_line("LOAD " + path)));
+  constexpr int kReaders = 4;
+  constexpr int kRounds = 40;
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kReaders; ++t)
+    threads.emplace_back([&] {
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < kRounds; ++i) {
+        EXPECT_TRUE(is_ok(server.handle_line("ARRIVAL out")));
+        EXPECT_TRUE(is_err(server.handle_line("ARRIVAL nosuch"), "NOTFOUND"));
+        EXPECT_TRUE(is_ok(server.handle_line("SLACK out 2n")));
+        EXPECT_TRUE(is_err(server.handle_line("SLACK nosuch 2n"), "NOTFOUND"));
+        EXPECT_TRUE(is_ok(server.handle_line("CRITPATH")));
+        EXPECT_TRUE(is_err(server.handle_line("FROBNICATE"), "BADCMD"));
+        EXPECT_TRUE(is_err(server.handle_line("ARRIVAL"), "ARG"));
+      }
+    });
+  threads.emplace_back([&] {
+    while (!go.load()) std::this_thread::yield();
+    for (int i = 0; i < kRounds; ++i) {
+      const std::string width = i % 2 ? "2u" : "1.5u";
+      EXPECT_TRUE(is_ok(server.handle_line("RESIZE 0 0 " + width)));
+      EXPECT_TRUE(is_err(server.handle_line("RESIZE 99 0 1u"), "ARG"));
+      EXPECT_TRUE(is_ok(server.handle_line("UPDATE")));
+    }
+  });
+  go = true;
+  for (auto& th : threads) th.join();
+
+  const std::string stats = server.handle_line("STATS");
+  const auto expect_count = [&](const std::string& key, int want) {
+    EXPECT_EQ(response_field(stats, key), std::to_string(want)) << key;
+  };
+  const int reads = kReaders * kRounds;
+  expect_count("arrival.count", 2 * reads);
+  expect_count("arrival.err", reads);
+  expect_count("slack.count", 2 * reads);
+  expect_count("slack.err", reads);
+  expect_count("critpath.count", reads);
+  expect_count("critpath.err", 0);
+  expect_count("resize.count", 2 * kRounds);
+  expect_count("resize.err", kRounds);
+  expect_count("update.count", kRounds);
+  expect_count("update.err", 0);
+  expect_count("load.count", 1);
+  expect_count("load.err", 0);
+  expect_count("malformed", 2 * reads);
+  expect_count("requests", 5 * reads + 3 * kRounds + 1);
+  // STATS counts itself only once its reply is built.
+  EXPECT_EQ(response_field(stats, "stats.count"), "");
+  const ServerStats st = server.stats();
+  const VerbStats& arrival = st.verb[static_cast<int>(Verb::kArrival)];
+  EXPECT_GT(arrival.total_ms, 0.0);
+  EXPECT_GE(arrival.total_ms, arrival.max_ms);
+  EXPECT_EQ(st.verb[static_cast<int>(Verb::kStats)].requests, 1u);
 }
 
 TEST(Server, ServeStreamScriptedSession) {

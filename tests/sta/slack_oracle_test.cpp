@@ -5,12 +5,13 @@
 // sequence on the 64-row decoder and generated grid/tree/dag designs, at
 // 1 and 4 lanes, with the memo cache on and off. The same states pin
 // worst_arrival() and critical_path() against the stage-order scans they
-// replaced, and every cache-on case drives a cache-off engine through the
-// same edits: the memo cache must not move one bit of any stage-output
-// arrival. After the last edit, a fresh engine built on the edited
-// design must reproduce every arrival: update() is a full run(). Separate
-// tests cover a stage that reads its own output and the flat store's
-// miss path.
+// replaced (the merge keeps the worst endpoint current; a second case
+// drives it through edits aimed at it), and every cache-on case drives a
+// cache-off engine through the same edits: the memo cache must not move
+// one bit of any stage-output arrival. After the last edit, a fresh
+// engine built on the edited design must reproduce every arrival:
+// update() is a full run(). Separate tests cover a stage that reads its
+// own output and the flat store's miss path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -158,6 +159,21 @@ std::uint64_t bits(double v) {
   return b;
 }
 
+/// worst_arrival() and critical_path() equal the stage-order scans bit for
+/// bit.
+void expect_worst_matches_scan(const StaEngine& eng) {
+  ASSERT_EQ(bits(eng.worst_arrival()), bits(reference_worst_arrival(eng)));
+  const auto path = eng.critical_path();
+  const auto want_path = reference_critical_path(eng);
+  ASSERT_EQ(path.size(), want_path.size());
+  for (std::size_t i = 0; i < path.size(); ++i) {
+    EXPECT_EQ(path[i].net, want_path[i].net);
+    EXPECT_EQ(path[i].rising, want_path[i].rising);
+    EXPECT_EQ(bits(path[i].arrival), bits(want_path[i].arrival));
+    EXPECT_EQ(path[i].stage, want_path[i].stage);
+  }
+}
+
 bool same_slack(const Slack& a, const Slack& b) {
   return a.valid == b.valid && bits(a.required) == bits(b.required) &&
          bits(a.slack) == bits(b.slack);
@@ -255,8 +271,8 @@ TEST_P(SlackOracle, WalkMatchesSortedReferenceAndDesignDb) {
 
     // A period just under the worst arrival puts the critical cone in
     // violation and leaves the rest with positive slack.
+    expect_worst_matches_scan(eng);
     const double worst = eng.worst_arrival();
-    ASSERT_EQ(bits(worst), bits(reference_worst_arrival(eng)));
     const double period = 0.9 * worst;
     const auto ref = reference_slacks(eng, period, bound);
     const auto map = eng.compute_slacks(period);
@@ -279,16 +295,6 @@ TEST_P(SlackOracle, WalkMatchesSortedReferenceAndDesignDb) {
         ++mismatches;
     }
     EXPECT_EQ(mismatches, 0u);
-
-    const auto path = eng.critical_path();
-    const auto want_path = reference_critical_path(eng);
-    ASSERT_EQ(path.size(), want_path.size());
-    for (std::size_t i = 0; i < path.size(); ++i) {
-      EXPECT_EQ(path[i].net, want_path[i].net);
-      EXPECT_EQ(path[i].rising, want_path[i].rising);
-      EXPECT_EQ(bits(path[i].arrival), bits(want_path[i].arrival));
-      EXPECT_EQ(path[i].stage, want_path[i].stage);
-    }
   }
   EXPECT_GT(valid_seen, 0u);  // the oracle compared real slacks
 
@@ -300,6 +306,94 @@ TEST_P(SlackOracle, WalkMatchesSortedReferenceAndDesignDb) {
   EXPECT_EQ(testutil::lane_mismatches(eng, device::Corner::typical, fresh,
                                       device::Corner::typical),
             0u);
+}
+
+TEST_P(SlackOracle, WorstEndpointFollowsEveryEdit) {
+  // The merge keeps the worst endpoint current; every state a caller can
+  // observe must equal the stage-order scan: before any analysis, after
+  // edits that make the worst endpoint's own driver slower, faster and
+  // then restore it, and around set_input_arrival on a primary input and
+  // on a stage-output net. decoder64 repeats each row variant 16 times,
+  // so its endpoints tie bit for bit and the scan's tie-break (first in
+  // stage order, rise before fall) decides the endpoint.
+  const testutil::DesignConfig cfg = GetParam();
+  const Case c = load_case(cfg.design);
+  StaOptions opt;
+  opt.schedule = cfg.schedule;
+  opt.threads = cfg.threads;
+  opt.use_cache = cfg.cache;
+  StaEngine eng(c.design, models(), opt);
+  EXPECT_EQ(bits(eng.worst_arrival()), bits(0.0));
+  EXPECT_TRUE(eng.critical_path().empty());
+  expect_worst_matches_scan(eng);
+  eng.run();
+  expect_worst_matches_scan(eng);
+  const auto path0 = eng.critical_path();
+  ASSERT_FALSE(path0.empty());
+  const CriticalPathStep end0 = path0.back();
+  const double worst0 = eng.worst_arrival();
+
+  const int driver = end0.stage;
+  ASSERT_GE(driver, 0);
+  const circuit::LogicStage& ls =
+      eng.design().stages[static_cast<std::size_t>(driver)].stage;
+  std::vector<std::pair<circuit::EdgeId, double>> fets;
+  for (std::size_t e = 0; e < ls.edge_count(); ++e) {
+    const circuit::Edge& edge = ls.edge(static_cast<circuit::EdgeId>(e));
+    if (edge.kind != circuit::DeviceKind::wire)
+      fets.emplace_back(static_cast<circuit::EdgeId>(e), edge.w);
+  }
+  ASSERT_FALSE(fets.empty());
+  const auto scale_driver = [&](double f) {
+    for (const auto& [e, w] : fets) eng.resize_transistor(driver, e, w * f);
+    eng.update();
+  };
+  {
+    SCOPED_TRACE("driver slowed");
+    scale_driver(0.5);
+    expect_worst_matches_scan(eng);
+  }
+  {
+    SCOPED_TRACE("driver sped up");
+    scale_driver(4.0);
+    expect_worst_matches_scan(eng);
+  }
+  if (cfg.design == std::string("decoder64")) {
+    // A twin row now holds the old worst arrival.
+    EXPECT_EQ(bits(eng.worst_arrival()), bits(worst0));
+    EXPECT_NE(eng.critical_path().back().net, end0.net);
+  }
+  {
+    SCOPED_TRACE("driver restored");
+    scale_driver(1.0);
+    expect_worst_matches_scan(eng);
+    EXPECT_EQ(bits(eng.worst_arrival()), bits(worst0));
+    EXPECT_EQ(eng.critical_path().back().net, end0.net);
+  }
+
+  {
+    // A primary input moves no stage output until the next run().
+    SCOPED_TRACE("primary input");
+    eng.set_input_arrival(eng.design().primary_inputs.front(), 50e-12,
+                          80e-12);
+    expect_worst_matches_scan(eng);
+    eng.run();
+    expect_worst_matches_scan(eng);
+  }
+  {
+    // A stage-output net overwritten past the worst arrival, then below
+    // every arrival, then re-timed by run().
+    SCOPED_TRACE("stage output");
+    const netlist::NetId out = eng.design().stages.front().output_nets.front();
+    const double late = eng.worst_arrival() + 1e-9;
+    eng.set_input_arrival(out, 0.0, late);
+    EXPECT_EQ(bits(eng.worst_arrival()), bits(late));
+    expect_worst_matches_scan(eng);
+    eng.set_input_arrival(out, 0.0, 0.0);
+    expect_worst_matches_scan(eng);
+    eng.run();
+    expect_worst_matches_scan(eng);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
